@@ -197,8 +197,7 @@ void BM_PropagateLevelThreads(benchmark::State& state) {
   const auto ex = exec::make_executor(static_cast<size_t>(state.range(0)));
   timing::PropagationResult r;
   for (auto _ : state) {
-    timing::propagate_arrivals_into(module.graph(), {}, r, *ex,
-                                    timing::LevelParallel::kOn);
+    timing::propagate_arrivals_into(module.graph(), {}, r, *ex);
     benchmark::DoNotOptimize(r.time.data());
   }
 }

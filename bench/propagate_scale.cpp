@@ -2,7 +2,9 @@
 // (arrivals) and backward (required-time) sweeps on (a) the synthetic
 // c7552 module and (b) a generated stacked-DAG design large enough that
 // per-level parallel chunks dominate scheduling overhead (default 500k
-// gates; --gates scales it, --quick caps it for smoke runs).
+// gates; --gates scales it, --quick caps it for smoke runs). Both graphs
+// are wide (mean level width >= 16), so every multi-thread sweep takes
+// the level schedule.
 //
 // Every timed configuration is also a correctness gate, asserted in the
 // bench itself before any number is written:
@@ -111,8 +113,7 @@ const SweepFns kSweeps[] = {
      },
      [](const timing::TimingGraph& g, timing::PropagationResult& r,
         exec::Executor& ex) {
-       timing::propagate_arrivals_into(g, {}, r, ex,
-                                       timing::LevelParallel::kOn);
+       timing::propagate_arrivals_into(g, {}, r, ex);
      },
      [](const timing::TimingGraph& g) {
        return timing::legacy_propagate_arrivals(g);
@@ -123,8 +124,7 @@ const SweepFns kSweeps[] = {
      },
      [](const timing::TimingGraph& g, timing::PropagationResult& r,
         exec::Executor& ex) {
-       timing::propagate_required_into(g, {}, r, ex,
-                                       timing::LevelParallel::kOn);
+       timing::propagate_required_into(g, {}, r, ex);
      },
      [](const timing::TimingGraph& g) {
        return timing::legacy_propagate_required(g, {});

@@ -24,6 +24,7 @@ namespace {
 /// |outputs| vertex-criticality masses per vertex slot) and this worker's
 /// cm accumulator (merged by max after a fan-out region).
 struct CritScratch {
+  exec::SerialExecutor inner;      ///< this worker's inline sweeps
   timing::PropagationResult prop;
   std::vector<double> tp;
   timing::FormBank cand;           ///< fanin arrival candidates, one row each
@@ -36,23 +37,13 @@ struct CritScratch {
   MaxDiagnostics diag;
 };
 
-/// Per-worker scratch of the level-synchronous tightness pass.
-struct TightnessScratch {
-  timing::FormBank cand;
-  std::vector<EdgeId> cand_edge;
-  timing::FormBank split_scratch;
-  std::vector<double> split;
-  MaxDiagnostics diag;
-};
-
 /// Tightness probabilities of one vertex's fanin: tp[e] = Prob{edge e
 /// carries the maximal fanin arrival of v}, renormalized so they partition
-/// exactly. Shared by the serial and level-synchronous drivers. Candidates
-/// are assembled into rows of the caller's `cand` bank and split in place —
-/// a warm scratch makes the whole pass allocation-free.
-template <typename Scratch>
+/// exactly. Candidates are assembled into rows of the scratch `cand` bank
+/// and split in place — a warm scratch makes the whole pass
+/// allocation-free.
 void tightness_vertex(const TimingGraph& g, const PropagationResult& arrival,
-                      VertexId v, std::vector<double>& tp, Scratch& sc,
+                      VertexId v, std::vector<double>& tp, CritScratch& sc,
                       MaxDiagnostics* diag) {
   const auto& fanin = g.vertex(v).fanin;
   if (fanin.empty()) return;
@@ -73,37 +64,14 @@ void tightness_vertex(const TimingGraph& g, const PropagationResult& arrival,
   for (size_t t = 0; t < n; ++t) tp[sc.cand_edge[t]] = sc.split[t];
 }
 
-/// Fanin tightness probabilities for one arrival propagation (serial
-/// driver). Writes sc.tp.
+/// Fanin tightness probabilities for one arrival propagation, visiting the
+/// vertices in topological `order`. Writes sc.tp.
 void fanin_tightness_into(const TimingGraph& g,
+                          const std::vector<VertexId>& order,
                           const PropagationResult& arrival,
                           MaxDiagnostics* diag, CritScratch& sc) {
   sc.tp.assign(g.num_edge_slots(), 0.0);
-  for (VertexId v : g.topo_order())
-    tightness_vertex(g, arrival, v, sc.tp, sc, diag);
-}
-
-/// Level-synchronous tightness driver: each edge's tp is written by its
-/// sink's task only, so a level's vertices fan out race-free; the per-
-/// worker diagnostics counters merge into `diag` by integer sum, equal to
-/// the serial totals.
-void fanin_tightness_level(const TimingGraph& g,
-                           const PropagationResult& arrival,
-                           const LevelStructure& ls, exec::Executor& ex,
-                           std::vector<double>& tp, MaxDiagnostics& diag) {
-  tp.assign(g.num_edge_slots(), 0.0);
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    ex.workspace(w).get<TightnessScratch>().diag = MaxDiagnostics{};
-  timing::for_each_level(ls, ex, /*front_to_back=*/true,
-                         [&](VertexId v) {
-                           return 1 + g.vertex(v).fanin.size() * g.dim();
-                         },
-                         [&](VertexId v, exec::Workspace& ws) {
-                           TightnessScratch& ts = ws.get<TightnessScratch>();
-                           tightness_vertex(g, arrival, v, tp, ts, &ts.diag);
-                         });
-  for (size_t w = 0; w < ex.num_workspaces(); ++w)
-    diag += ex.workspace(w).get<TightnessScratch>().diag;
+  for (VertexId v : order) tightness_vertex(g, arrival, v, sc.tp, sc, diag);
 }
 
 /// The batched backward pass's gather schedule. For every vertex u,
@@ -169,8 +137,7 @@ void seed_frontier(const std::vector<VertexId>& outs,
 
 /// Gather one vertex's frontier row: pull vc(sink) * tp(e) over u's fanout
 /// edges (in scatter order) for every output at once, folding each
-/// contribution into `combine`. Writes only u's own row / flag, so a
-/// topological level of gathers is race-free.
+/// contribution into `combine`. Writes only u's own row / flag.
 template <typename Combine>
 inline void gather_vertex(const TimingGraph& g, const BackwardPlan& plan,
                           VertexId u, size_t num_outs, double prune_epsilon,
@@ -200,7 +167,7 @@ inline void gather_vertex(const TimingGraph& g, const BackwardPlan& plan,
   sc.row_active[u] = active ? 1 : 0;
 }
 
-/// Batched backward pass over all outputs for one input, serial driver.
+/// Batched backward pass over all outputs for one input.
 template <typename Combine>
 void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
                       const std::vector<VertexId>& outs,
@@ -211,33 +178,6 @@ void batched_backward(const TimingGraph& g, const BackwardPlan& plan,
   seed_frontier(outs, arrival, num_outs, sc);
   for (VertexId u : plan.reverse_order)
     gather_vertex(g, plan, u, num_outs, prune_epsilon, sc.tp, sc, combine);
-}
-
-/// Level-synchronous driver of the same pass: sweeps the level buckets back
-/// to front; a vertex only reads rows of strictly higher levels and writes
-/// its own, and combine targets (cm of u's fanout edges) have a unique
-/// writing vertex, so no merge step is needed.
-template <typename Combine>
-void batched_backward_level(const TimingGraph& g, const BackwardPlan& plan,
-                            const LevelStructure& ls,
-                            const std::vector<VertexId>& outs,
-                            const PropagationResult& arrival,
-                            double prune_epsilon, exec::Executor& ex,
-                            CritScratch& sc, Combine&& combine) {
-  const size_t num_outs = outs.size();
-  reset_frontier(g, num_outs, sc);
-  seed_frontier(outs, arrival, num_outs, sc);
-  timing::for_each_level(ls, ex, /*front_to_back=*/false,
-                         [&](VertexId v) {
-                           // Gather cost: one row combine per fanout edge
-                           // per output column.
-                           return 1 + (plan.offsets[v + 1] - plan.offsets[v]) *
-                                          num_outs;
-                         },
-                         [&](VertexId v, exec::Workspace&) {
-                           gather_vertex(g, plan, v, num_outs, prune_epsilon,
-                                         sc.tp, sc, combine);
-                         });
 }
 
 /// Scalar backward pass for one (input, output) pair — the legacy scatter
@@ -283,75 +223,47 @@ CriticalityResult compute_criticality(const TimingGraph& g,
   const std::shared_ptr<const LevelStructure> ls = g.levels();
   const BackwardPlan plan = make_backward_plan(g, ls->order);
 
-  // Exclusive spans the reset -> region(s) -> merge sequence so concurrent
+  // Exclusive spans the reset -> region -> merge sequence so concurrent
   // callers sharing `ex` serialize instead of interleaving workspaces.
   const exec::Executor::Exclusive scope(ex);
-
-  if (timing::use_level_parallel(*ls, ex.concurrency(), opts.level_parallel,
-                                 ins.size())) {
-    // Serial input loop; propagation, tightness and the batched backward
-    // pass each fan a level's vertices out across the executor. cm entries
-    // are written by their edge's unique source vertex, so the fold lands
-    // directly in the result.
-    CritScratch& sc = ex.workspace(0).get<CritScratch>();
+  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
+    CritScratch& sc = ex.workspace(w).get<CritScratch>();
+    sc.cm.assign(g.num_edge_slots(), 0.0);
     sc.diag = MaxDiagnostics{};
-    for (size_t i = 0; i < ins.size(); ++i) {
-      const VertexId sources[] = {ins[i]};
-      timing::propagate_arrivals_into(g, sources, sc.prop, ex,
-                                      timing::LevelParallel::kOn);
-      sc.diag += sc.prop.diagnostics;
-      fanin_tightness_level(g, sc.prop, *ls, ex, sc.tp, sc.diag);
-      batched_backward_level(g, plan, *ls, outs, sc.prop, opts.prune_epsilon,
-                             ex, sc, [&](EdgeId e, double c) {
-                               if (c > res.max_criticality[e])
-                                 res.max_criticality[e] = c;
-                             });
-      if (opts.with_io_delays) {
-        for (size_t j = 0; j < outs.size(); ++j)
-          if (sc.prop.valid[outs[j]])
-            res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
-      }
+  }
+
+  // One work item per input port: forward canonical propagation + fanin
+  // tightness, then one batched backward pass over all outputs — each an
+  // inline sweep on the worker. Each worker folds into its own cm
+  // accumulator; io_delays rows are per-input, so they are written without
+  // synchronization.
+  ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
+    CritScratch& sc = ws.get<CritScratch>();
+    const VertexId sources[] = {ins[i]};
+    timing::propagate_arrivals_into(g, sources, sc.prop, sc.inner);
+    sc.diag += sc.prop.diagnostics;
+    fanin_tightness_into(g, ls->order, sc.prop, &sc.diag, sc);
+
+    batched_backward(g, plan, outs, sc.prop, opts.prune_epsilon, sc,
+                     [&](EdgeId e, double c) {
+                       if (c > sc.cm[e]) sc.cm[e] = c;
+                     });
+
+    if (opts.with_io_delays) {
+      for (size_t j = 0; j < outs.size(); ++j)
+        if (sc.prop.valid[outs[j]])
+          res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
     }
+  });
+
+  // Merge the per-worker accumulators. max over doubles and integer sums
+  // are order-insensitive, so this equals the serial fold bit-for-bit.
+  for (size_t w = 0; w < ex.num_workspaces(); ++w) {
+    const CritScratch& sc = ex.workspace(w).get<CritScratch>();
     res.diagnostics += sc.diag;
-  } else {
-    for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-      CritScratch& sc = ex.workspace(w).get<CritScratch>();
-      sc.cm.assign(g.num_edge_slots(), 0.0);
-      sc.diag = MaxDiagnostics{};
-    }
-
-    // One work item per input port: forward canonical propagation + fanin
-    // tightness, then one batched backward pass over all outputs. Each
-    // worker folds into its own cm accumulator; io_delays rows are
-    // per-input, so they are written without synchronization.
-    ex.parallel_for(ins.size(), [&](size_t i, exec::Workspace& ws) {
-      CritScratch& sc = ws.get<CritScratch>();
-      const VertexId sources[] = {ins[i]};
-      timing::propagate_arrivals_into(g, sources, sc.prop);
-      sc.diag += sc.prop.diagnostics;
-      fanin_tightness_into(g, sc.prop, &sc.diag, sc);
-
-      batched_backward(g, plan, outs, sc.prop, opts.prune_epsilon, sc,
-                       [&](EdgeId e, double c) {
-                         if (c > sc.cm[e]) sc.cm[e] = c;
-                       });
-
-      if (opts.with_io_delays) {
-        for (size_t j = 0; j < outs.size(); ++j)
-          if (sc.prop.valid[outs[j]])
-            res.io_delays.set(i, j, sc.prop.time.form(outs[j]));
-      }
-    });
-
-    // Merge the per-worker accumulators. max over doubles and integer sums
-    // are order-insensitive, so this equals the serial fold bit-for-bit.
-    for (size_t w = 0; w < ex.num_workspaces(); ++w) {
-      const CritScratch& sc = ex.workspace(w).get<CritScratch>();
-      res.diagnostics += sc.diag;
-      for (size_t e = 0; e < res.max_criticality.size(); ++e)
-        if (sc.cm[e] > res.max_criticality[e])
-          res.max_criticality[e] = sc.cm[e];
-    }
+    for (size_t e = 0; e < res.max_criticality.size(); ++e)
+      if (sc.cm[e] > res.max_criticality[e])
+        res.max_criticality[e] = sc.cm[e];
   }
   // Reconvergence can push the tp partition marginally above 1; clamp.
   for (double& c : res.max_criticality) c = std::min(c, 1.0);
@@ -373,7 +285,7 @@ std::vector<double> pair_criticalities(const TimingGraph& g, size_t input,
   CritScratch sc;
   const VertexId sources[] = {g.inputs()[input]};
   timing::propagate_arrivals_into(g, sources, sc.prop);
-  fanin_tightness_into(g, sc.prop, nullptr, sc);
+  fanin_tightness_into(g, order, sc.prop, nullptr, sc);
   std::vector<double> c(g.num_edge_slots(), 0.0);
   std::vector<double> vc;
   backward_pass(g, reverse_order, sc.prop, g.outputs()[output], 0.0, vc,
@@ -391,7 +303,7 @@ double edge_pair_criticality(const TimingGraph& g, EdgeId e, size_t input,
 std::vector<double> arrival_tightness(const TimingGraph& g,
                                       const PropagationResult& arrivals) {
   CritScratch sc;
-  fanin_tightness_into(g, arrivals, nullptr, sc);
+  fanin_tightness_into(g, g.levels()->order, arrivals, nullptr, sc);
   return std::move(sc.tp);
 }
 

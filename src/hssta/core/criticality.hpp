@@ -23,9 +23,12 @@
 ///     sweep, folding c_ij(e) into cm(e) on the way. The gather order is
 ///     arranged to reproduce the scalar per-(i, j) scatter pass's
 ///     floating-point accumulation exactly (see gather_plan in the .cpp),
-///     so batching is a pure speedup: one traversal instead of |outputs|,
-///     and each vertex writes only its own row, which is what lets the
-///     level-synchronous schedule fan a level's vertices out race-free.
+///     so batching is a pure speedup: one traversal instead of |outputs|.
+///
+/// Schedule: the inputs fan out across the executor, one work item per
+/// input; each item's propagation, tightness and backward passes are
+/// inline sweeps on its worker, so the result is bit-identical at every
+/// thread count.
 ///
 /// By construction the criticalities of any input-output cut sum to 1
 /// (leave-one-out tightness probabilities are renormalized per vertex), a
@@ -53,12 +56,6 @@ struct CriticalityOptions {
   /// Also compute the all-pairs IO delay matrix and return it (the
   /// extraction pipeline wants both; switch off when only cm is needed).
   bool with_io_delays = true;
-  /// Parallel schedule (never changes any result bit): per-input fan-out
-  /// across the executor, or — when the input count cannot occupy it — a
-  /// serial input loop whose propagation / tightness / batched backward
-  /// passes are each level-synchronous. kAuto picks by input count and
-  /// graph width (timing::use_level_parallel).
-  timing::LevelParallel level_parallel = timing::LevelParallel::kAuto;
 };
 
 struct CriticalityResult {

@@ -17,7 +17,6 @@ namespace {
 
 /// slack(v) = required - (arrival(v) + remaining(v)); the variability
 /// coefficients flip sign, the private random magnitude is unchanged.
-/// Shared per-vertex assembly of the serial and parallel overloads.
 /// Assembled straight from the two bank rows — the through-path sum is
 /// never materialized, so this allocates nothing (the slack entry's buffer
 /// is recycled by the caller's assign).
@@ -37,55 +36,28 @@ inline void assemble_slack(const TimingGraph& g, VertexId v,
   out.valid[v] = 1;
 }
 
-SlackResult slack_from_passes(const TimingGraph& g,
-                              const PropagationResult& arrivals,
-                              const PropagationResult& remaining,
-                              double required_at_outputs) {
-  SlackResult out;
-  out.slack.assign(g.num_vertex_slots(), CanonicalForm(g.dim()));
-  out.valid.assign(g.num_vertex_slots(), 0);
-  for (VertexId v = 0; v < g.num_vertex_slots(); ++v)
-    assemble_slack(g, v, arrivals, remaining, required_at_outputs, out);
-  return out;
-}
-
 }  // namespace
 
-SstaResult run_ssta(const TimingGraph& g) {
-  SstaResult r{timing::propagate_arrivals(g), CanonicalForm(g.dim())};
-  r.delay = timing::circuit_delay(g, r.arrivals, &r.arrivals.diagnostics);
-  return r;
-}
-
-SstaResult run_ssta(const TimingGraph& g, exec::Executor& ex,
-                    timing::LevelParallel mode) {
+SstaResult run_ssta(const TimingGraph& g, exec::Executor& ex) {
   SstaResult r{PropagationResult{}, CanonicalForm(g.dim())};
-  timing::propagate_arrivals_into(g, {}, r.arrivals, ex, mode);
+  timing::propagate_arrivals_into(g, {}, r.arrivals, ex);
   r.delay = timing::circuit_delay(g, r.arrivals, &r.arrivals.diagnostics);
   return r;
 }
 
-SlackResult compute_slack(const TimingGraph& g, double required_at_outputs) {
-  const PropagationResult arrivals = timing::propagate_arrivals(g);
-  // Backward sweep from all output ports at remaining time 0: remaining[v]
-  // is the statistical max delay from v to any output.
-  PropagationResult remaining;
-  timing::propagate_required_into(g, {}, remaining);
-  return slack_from_passes(g, arrivals, remaining, required_at_outputs);
+SstaResult run_ssta(const TimingGraph& g) {
+  exec::SerialExecutor ex;
+  return run_ssta(g, ex);
 }
 
 SlackResult compute_slack(const TimingGraph& g, double required_at_outputs,
-                          exec::Executor& ex, timing::LevelParallel mode) {
-  // Honor the mode for the assembly loop too: kOff promises not to occupy
-  // the executor from within a sweep.
-  if (!timing::use_level_parallel(g, ex.concurrency(), mode))
-    return compute_slack(g, required_at_outputs);
+                          exec::Executor& ex) {
   PropagationResult arrivals;
-  timing::propagate_arrivals_into(g, {}, arrivals, ex,
-                                  timing::LevelParallel::kOn);
+  timing::propagate_arrivals_into(g, {}, arrivals, ex);
+  // Backward sweep from all output ports at remaining time 0: remaining[v]
+  // is the statistical max delay from v to any output.
   PropagationResult remaining;
-  timing::propagate_required_into(g, {}, remaining, ex,
-                                  timing::LevelParallel::kOn);
+  timing::propagate_required_into(g, {}, remaining, ex);
 
   SlackResult out;
   out.slack.assign(g.num_vertex_slots(), CanonicalForm(g.dim()));
@@ -100,6 +72,11 @@ SlackResult compute_slack(const TimingGraph& g, double required_at_outputs,
                                             required_at_outputs, out);
                            });
   return out;
+}
+
+SlackResult compute_slack(const TimingGraph& g, double required_at_outputs) {
+  exec::SerialExecutor ex;
+  return compute_slack(g, required_at_outputs, ex);
 }
 
 }  // namespace hssta::core

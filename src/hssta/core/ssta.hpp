@@ -22,16 +22,14 @@ struct SstaResult {
   }
 };
 
-/// Run arrival propagation from all input ports and fold the output max.
-[[nodiscard]] SstaResult run_ssta(const timing::TimingGraph& g);
+/// Run arrival propagation from all input ports on `ex` (see
+/// timing::propagate_arrivals_into) and fold the output max. Bit-identical
+/// at every thread count.
+[[nodiscard]] SstaResult run_ssta(const timing::TimingGraph& g,
+                                  exec::Executor& ex);
 
-/// Level-synchronous variant: the arrival sweep fans each topological
-/// level's vertices out across `ex` (kAuto falls back to serial for narrow
-/// graphs or serial executors). Bit-identical to run_ssta(g) at every
-/// thread count.
-[[nodiscard]] SstaResult run_ssta(
-    const timing::TimingGraph& g, exec::Executor& ex,
-    timing::LevelParallel mode = timing::LevelParallel::kAuto);
+/// Single-threaded call of the same analysis (a call-local SerialExecutor).
+[[nodiscard]] SstaResult run_ssta(const timing::TimingGraph& g);
 
 /// Statistical slack of each vertex against a deterministic required time
 /// at every output port (extension; slack = required - latest arrival
@@ -41,16 +39,15 @@ struct SlackResult {
   std::vector<uint8_t> valid;
 };
 
+/// The forward arrival sweep and the backward required-time (remaining
+/// delay) sweep run on `ex`, as does the per-vertex slack assembly.
+/// Bit-identical at every thread count.
+[[nodiscard]] SlackResult compute_slack(const timing::TimingGraph& g,
+                                        double required_at_outputs,
+                                        exec::Executor& ex);
+
+/// Single-threaded call of the same analysis (a call-local SerialExecutor).
 [[nodiscard]] SlackResult compute_slack(const timing::TimingGraph& g,
                                         double required_at_outputs);
-
-/// Level-synchronous variant: both the forward arrival sweep and the
-/// backward required-time (remaining delay) sweep run level-parallel on
-/// `ex`, as does the per-vertex slack assembly. Bit-identical to the serial
-/// overload at every thread count.
-[[nodiscard]] SlackResult compute_slack(
-    const timing::TimingGraph& g, double required_at_outputs,
-    exec::Executor& ex,
-    timing::LevelParallel mode = timing::LevelParallel::kAuto);
 
 }  // namespace hssta::core

@@ -122,8 +122,7 @@ struct Module::State {
 
   const core::SstaResult& ensure_ssta() {
     if (!ssta)
-      ssta = core::run_ssta(ensure_built().graph, executor(),
-                            cfg.level_parallel);
+      ssta = core::run_ssta(ensure_built().graph, executor());
     return *ssta;
   }
 
@@ -133,8 +132,7 @@ struct Module::State {
       it = slack
                .emplace(required_at_outputs,
                         core::compute_slack(ensure_built().graph,
-                                            required_at_outputs, executor(),
-                                            cfg.level_parallel))
+                                            required_at_outputs, executor()))
                .first;
     return it->second;
   }
@@ -373,12 +371,7 @@ const std::vector<core::CriticalPath>& Module::critical_paths(size_t k) const {
 }
 
 const model::Extraction& Module::extract_model() const {
-  // The config-wide level_parallel knob rides along into the criticality
-  // step; it is not part of the extraction cache key (results are
-  // bit-identical either way).
-  model::ExtractOptions opts = state_->cfg.extract;
-  opts.level_parallel = state_->cfg.level_parallel;
-  return extract_model(opts);
+  return extract_model(state_->cfg.extract);
 }
 
 const model::Extraction& Module::extract_model(

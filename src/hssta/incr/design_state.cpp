@@ -73,12 +73,10 @@ bool geometry_compatible(const model::TimingModel& prev,
 }  // namespace
 
 DesignState::DesignState(DesignInputs inputs, hier::HierOptions opts,
-                         std::shared_ptr<exec::Executor> ex,
-                         timing::LevelParallel mode)
+                         std::shared_ptr<exec::Executor> ex)
     : inputs_(std::move(inputs)),
       opts_(std::move(opts)),
-      exec_(ex ? std::move(ex) : std::make_shared<exec::SerialExecutor>()),
-      mode_(mode) {
+      exec_(ex ? std::move(ex) : std::make_shared<exec::SerialExecutor>()) {
   HSSTA_REQUIRE(!inputs_.instances.empty(),
                 "incremental design '" + inputs_.name + "' has no instances");
   for (const InstanceSpec& inst : inputs_.instances)
@@ -364,7 +362,7 @@ void DesignState::restitch_connection(const hier::HierDesign& view, size_t c,
 // --- propagation ------------------------------------------------------------
 
 void DesignState::propagate_full() {
-  timing::propagate_arrivals_into(st_->graph, {}, arrivals_, *exec_, mode_);
+  timing::propagate_arrivals_into(st_->graph, {}, arrivals_, *exec_);
   stats_.vertices_recomputed = st_->graph.num_live_vertices();
 }
 
@@ -400,8 +398,8 @@ void DesignState::propagate_cone(const std::vector<VertexId>& seeds) {
     recomputed += work.size();
 
     // Recompute each dirty vertex's arrival from its (stable, lower-level)
-    // fanins with exactly the fold of timing::relax_fanin; each task
-    // writes only its own slot, so a level fans out race-free.
+    // fanins with the forward sweep's own fold (timing::fold_fanin); each
+    // task writes only its own slot, so a level fans out race-free.
     exec::run_maybe_parallel(
         ex, work.size(), timing::kMinLevelFanOut,
         [&](size_t k, exec::Workspace& ws) {
@@ -410,20 +408,10 @@ void DesignState::propagate_cone(const std::vector<VertexId>& seeds) {
           CanonicalForm& nt = sc.result;
           nt = zero;
           if (sc.candidate.dim() != zero.dim()) sc.candidate = zero;
-          const timing::FormView cand = sc.candidate.view();
-          bool has = false;  // dirty vertices are never sources
-          for (EdgeId e : g.vertex(v).fanin) {
-            const timing::TimingEdge& te = g.edge(e);
-            if (!arrivals_.valid[te.from]) continue;
-            timing::add_into(cand, arrivals_.time.row(te.from),
-                             te.delay.view());
-            if (!has) {
-              timing::form_copy(nt.view(), cand);
-              has = true;
-            } else {
-              timing::statistical_max_into(nt.view(), nt.view(), cand);
-            }
-          }
+          const bool has = timing::fold_fanin(
+              g, v, arrivals_, nt.view(), sc.candidate.view(),
+              /*reached=*/false,  // dirty vertices are never sources
+              /*diag=*/nullptr);
           const uint8_t nv = has ? 1 : 0;
           changed[v] =
               nv != arrivals_.valid[v] ||

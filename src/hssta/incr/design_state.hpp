@@ -97,11 +97,10 @@ struct IncrementalStats {
 
 class DesignState {
  public:
-  /// `ex` null picks a serial executor. `mode` governs whether full
-  /// re-propagations fan each level across the executor (speed knob only).
+  /// `ex` null picks a serial executor (speed knob only; results never
+  /// depend on it).
   explicit DesignState(DesignInputs inputs, hier::HierOptions opts = {},
-                       std::shared_ptr<exec::Executor> ex = nullptr,
-                       timing::LevelParallel mode = timing::LevelParallel::kAuto);
+                       std::shared_ptr<exec::Executor> ex = nullptr);
 
   /// --- change API (cheap: records dirty state; analyze() recomputes) ----
 
@@ -163,11 +162,9 @@ class DesignState {
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   [[nodiscard]] static DesignState load(
-      std::istream& is, std::shared_ptr<exec::Executor> ex = nullptr,
-      timing::LevelParallel mode = timing::LevelParallel::kAuto);
+      std::istream& is, std::shared_ptr<exec::Executor> ex = nullptr);
   [[nodiscard]] static DesignState load_file(
-      const std::string& path, std::shared_ptr<exec::Executor> ex = nullptr,
-      timing::LevelParallel mode = timing::LevelParallel::kAuto);
+      const std::string& path, std::shared_ptr<exec::Executor> ex = nullptr);
 
  private:
   /// The hier:: view of the current inputs (models referenced, not owned).
@@ -190,7 +187,6 @@ class DesignState {
   DesignInputs inputs_;
   hier::HierOptions opts_;
   std::shared_ptr<exec::Executor> exec_;
-  timing::LevelParallel mode_ = timing::LevelParallel::kAuto;
 
   /// --- derived state -----------------------------------------------------
   std::optional<hier::StitchedDesign> st_;

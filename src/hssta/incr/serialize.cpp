@@ -161,8 +161,7 @@ void DesignState::save_file(const std::string& path) const {
 }
 
 DesignState DesignState::load(std::istream& is,
-                              std::shared_ptr<exec::Executor> ex,
-                              timing::LevelParallel mode) {
+                              std::shared_ptr<exec::Executor> ex) {
   expect_keyword(is, "hsds");
   const std::string version = checked_token(is, "version");
   HSSTA_REQUIRE(version == "1",
@@ -298,15 +297,14 @@ DesignState DesignState::load(std::istream& is,
 
   // Structural validity (ports in range, every input driven once, ...) is
   // checked by the first analyze(), exactly like a freshly assembled state.
-  return DesignState(std::move(inputs), std::move(opts), std::move(ex), mode);
+  return DesignState(std::move(inputs), std::move(opts), std::move(ex));
 }
 
 DesignState DesignState::load_file(const std::string& path,
-                                   std::shared_ptr<exec::Executor> ex,
-                                   timing::LevelParallel mode) {
+                                   std::shared_ptr<exec::Executor> ex) {
   std::ifstream is(path);
   if (!is) throw Error("cannot open design state file: " + path);
-  return load(is, std::move(ex), mode);
+  return load(is, std::move(ex));
 }
 
 uint64_t model_fingerprint(const model::TimingModel& m) {

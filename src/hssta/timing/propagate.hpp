@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,56 +17,62 @@
 
 namespace hssta::timing {
 
-/// Decide whether a sweep should fan out across the vertices of each level
-/// instead of leaving the parallelism to `outer_items` independent outer
-/// work units (per-input propagations, per-sample evaluations, ...).
-///  * kOff, or a serial executor, never level-parallelizes;
-///  * kOn always does;
-///  * kAuto does when the outer fan-out cannot occupy the executor
-///    (outer_items < 2 * concurrency) and the graph is wide enough for
-///    per-level regions to pay off (mean level width >= 16).
-[[nodiscard]] bool use_level_parallel(const LevelStructure& ls,
-                                      size_t concurrency, LevelParallel mode,
-                                      size_t outer_items = 1);
-
-/// Same decision from the graph. Builds the levelization only when the
-/// answer can depend on it (kAuto with a concurrent executor), so kOff /
-/// serial callers pay nothing for asking.
-[[nodiscard]] bool use_level_parallel(const TimingGraph& g,
-                                      size_t concurrency, LevelParallel mode,
-                                      size_t outer_items = 1);
-
 /// Levels narrower than this run inline on the calling thread even in a
-/// level-parallel sweep (see exec::run_maybe_parallel) — identical results,
-/// no pool round-trip for the long skinny head/tail of a circuit.
+/// fanned-out sweep (see exec::run_maybe_parallel) — identical results,
+/// no pool round-trip for the long skinny head/tail of a circuit. A graph
+/// whose *mean* level is narrower than this never fans out at all.
 inline constexpr size_t kMinLevelFanOut = 16;
 
-/// Drive one level-synchronous sweep: iterate the buckets front to back
-/// (forward sweeps) or back to front (backward sweeps) and fan each level
-/// out across `ex`; levels narrower than kMinLevelFanOut run inline.
-/// `fn(v, ws)` must only write state owned by vertex v — within-level
-/// vertices share no edges, so that makes the schedule race-free.
+/// The one driver of every sweep: visit each live vertex of `ls` once, in
+/// level order front to back (forward sweeps) or back to front (backward
+/// sweeps). Within-level vertices share no edges, so `visit(v)` may run
+/// concurrently for one level as long as it only writes state owned by v.
 ///
-/// `cost_of(v)` estimates the canonical-op cost of one vertex (a sweep
-/// typically charges fanin-or-fanout count x coefficient dimension); wide
-/// levels are chunked by that cost via exec::parallel_for_costed instead
-/// of by vertex count, so one heavy multi-fanin vertex no longer straggles
-/// its level behind a worker that also drew the rest of a uniform chunk.
-/// Chunking is a pure schedule choice — per-vertex arithmetic is
-/// untouched, so results stay bit-identical. The one place every sweep's
-/// bucket iteration lives, so schedule changes land everywhere at once.
-template <typename Cost, typename Fn>
+/// Schedule (never a result choice): the levels fan out across `ex` only
+/// when it has more than one thread and the graph is wide enough to
+/// amortize per-level barriers (mean level width >= kMinLevelFanOut).
+/// Otherwise the sweep walks `ls.order` (== topo_order()) inline on the
+/// calling thread — one pass with no per-vertex std::function and no
+/// per-level region. Either way every vertex runs the same arithmetic, so
+/// results are bit-identical at every thread count.
+///
+/// `bind(ws)` returns the per-vertex visitor for one worker slot's
+/// Workspace — the place a sweep fetches its per-worker scratch; the inline
+/// walk binds slot 0 once. In a fanned-out sweep `cost_of(v)` estimates
+/// the canonical-op cost of one vertex (a sweep typically charges fanin-or-
+/// fanout count x coefficient dimension); wide levels are chunked by that
+/// cost via exec::parallel_for_costed instead of by vertex count, so one
+/// heavy multi-fanin vertex no longer straggles its level. Callers sharing
+/// `ex` across threads hold an Executor::Exclusive around the surrounding
+/// reset -> sweep -> merge sequence.
+template <typename Cost, typename Bind>
 void for_each_level(const LevelStructure& ls, exec::Executor& ex,
-                    bool front_to_back, Cost&& cost_of, Fn&& fn) {
+                    bool front_to_back, Cost&& cost_of, Bind&& bind) {
+  if (ex.concurrency() <= 1 ||
+      ls.mean_width() < static_cast<double>(kMinLevelFanOut)) {
+    // One inline region (min_parallel SIZE_MAX never fans out) around the
+    // whole walk: slot 0's workspace, and nested submission still throws.
+    exec::run_maybe_parallel(
+        ex, 1, SIZE_MAX, [&](size_t, exec::Workspace& ws) {
+          auto visit = bind(ws);
+          if (front_to_back) {
+            for (const VertexId v : ls.order) visit(v);
+          } else {
+            for (auto it = ls.order.rbegin(); it != ls.order.rend(); ++it)
+              visit(*it);
+          }
+        });
+    return;
+  }
   const size_t num_levels = ls.num_levels();
   std::vector<uint64_t> costs;  // recycled across levels
   for (size_t step = 0; step < num_levels; ++step) {
     const std::span<const VertexId> bucket =
         ls.bucket(front_to_back ? step : num_levels - 1 - step);
     const auto task = [&](size_t k, exec::Workspace& ws) {
-      fn(bucket[k], ws);
+      bind(ws)(bucket[k]);
     };
-    if (ex.concurrency() > 1 && bucket.size() >= kMinLevelFanOut) {
+    if (bucket.size() >= kMinLevelFanOut) {
       costs.clear();
       costs.reserve(bucket.size());
       for (const VertexId v : bucket)
@@ -102,40 +109,47 @@ struct PropagationResult {
     const TimingGraph& g, std::span<const VertexId> sources = {});
 
 /// Workspace-reuse variant: overwrites `r` in place, recycling its vertex
-/// and coefficient buffers. The per-input loops of the compute layer
-/// (all-pairs IO delays, criticality) keep one PropagationResult per worker
-/// thread so repeated propagations allocate nothing after warm-up. Results
-/// are identical to propagate_arrivals.
+/// and coefficient buffers, and sweeps g.levels() through for_each_level
+/// on `ex` (the diagnostics counters merge by integer sum, so they equal a
+/// single-threaded sweep's exactly). The per-input loops of the compute
+/// layer (all-pairs IO delays, criticality) keep one PropagationResult per
+/// worker thread so repeated propagations allocate nothing after warm-up.
+/// Results are identical to propagate_arrivals at every thread count.
+void propagate_arrivals_into(const TimingGraph& g,
+                             std::span<const VertexId> sources,
+                             PropagationResult& r, exec::Executor& ex);
+
+/// Single-threaded call of the same sweep (a call-local SerialExecutor).
 void propagate_arrivals_into(const TimingGraph& g,
                              std::span<const VertexId> sources,
                              PropagationResult& r);
-
-/// Level-synchronous variant: sweeps g.levels() front to back and fans the
-/// vertices of each level out across `ex` (within-level vertices share no
-/// edges, so each one folds its fanin independently). Bit-identical to the
-/// serial sweep at every thread count — per-vertex arithmetic is unchanged
-/// and the diagnostics counters merge by integer sum. `mode` kAuto falls
-/// back to the serial sweep for narrow graphs or serial executors.
-void propagate_arrivals_into(const TimingGraph& g,
-                             std::span<const VertexId> sources,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode = LevelParallel::kAuto);
 
 /// Backward "required time" ingredient: time[v] = statistical max delay
 /// from v to any of `sinks` over all live paths (an empty span means "all
 /// output ports"); time[sink] = 0, valid[v] false when v reaches no sink.
 /// This is the remaining-delay pass of compute_slack and of the per-sink
-/// criticality machinery.
+/// criticality machinery. Sweeps the levels back to front on `ex`, with
+/// the forward sweep's bit-identity contract.
+void propagate_required_into(const TimingGraph& g,
+                             std::span<const VertexId> sinks,
+                             PropagationResult& r, exec::Executor& ex);
+
+/// Single-threaded call of the same sweep (a call-local SerialExecutor).
 void propagate_required_into(const TimingGraph& g,
                              std::span<const VertexId> sinks,
                              PropagationResult& r);
 
-/// Level-synchronous variant of the backward pass (levels back to front);
-/// same bit-identity contract as the forward overload.
-void propagate_required_into(const TimingGraph& g,
-                             std::span<const VertexId> sinks,
-                             PropagationResult& r, exec::Executor& ex,
-                             LevelParallel mode = LevelParallel::kAuto);
+/// The per-vertex fold of the forward sweep: fold the live fanin of `v`
+/// (time[from] + delay, read from `arrivals`) into `dst` by statistical max.
+/// `reached` says whether `dst` already holds a live time to fold against
+/// (a seeded source's arrival 0); otherwise the first live fanin overwrites
+/// it. Returns whether v is reached. `candidate` is caller-owned scratch of
+/// the graph's dimension, so the fold allocates nothing. Exposed so the
+/// incremental cone update recomputes a vertex with exactly this
+/// arithmetic.
+bool fold_fanin(const TimingGraph& g, VertexId v,
+                const PropagationResult& arrivals, FormView dst,
+                FormView candidate, bool reached, MaxDiagnostics* diag);
 
 /// Backward propagation: time[v] = statistical max delay from v to `sink`
 /// over all live paths; time[sink] = 0.

@@ -1,6 +1,7 @@
 #include "hssta/timing/sta.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "hssta/timing/propagate.hpp"
 #include "hssta/util/error.hpp"
@@ -9,7 +10,8 @@ namespace hssta::timing {
 
 namespace {
 
-/// Forward scalar relax shared by the serial and level-synchronous sweeps.
+/// Forward scalar relax: arrival[v] = max over fanin of arrival[from] +
+/// delay.
 inline void relax_scalar_fanin(const TimingGraph& g, VertexId v,
                                std::span<const double> edge_delays,
                                ScalarArrivals& r) {
@@ -85,33 +87,48 @@ double ScalarArrivals::max_over_outputs(const TimingGraph& g) const {
 
 ScalarArrivals longest_path(const TimingGraph& g,
                             std::span<const double> edge_delays,
-                            std::span<const VertexId> sources) {
-  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
-                "need one delay per edge slot");
-  ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_sources(g, sources, r);
-  for (VertexId v : g.topo_order()) relax_scalar_fanin(g, v, edge_delays, r);
-  return r;
-}
-
-ScalarArrivals longest_path(const TimingGraph& g,
-                            std::span<const double> edge_delays,
                             std::span<const VertexId> sources,
-                            exec::Executor& ex, LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode))
-    return longest_path(g, edge_delays, sources);
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
+                            exec::Executor& ex) {
   HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
                 "need one delay per edge slot");
+  const std::shared_ptr<const LevelStructure> ls = g.levels();
   ScalarArrivals r;
   reset_scalar(g, r);
   seed_sources(g, sources, r);
   const exec::Executor::Exclusive scope(ex);
   for_each_level(*ls, ex, /*front_to_back=*/true,
                  [&](VertexId v) { return 1 + g.vertex(v).fanin.size(); },
-                 [&](VertexId v, exec::Workspace&) {
-                   relax_scalar_fanin(g, v, edge_delays, r);
+                 [&](exec::Workspace&) {
+                   return [&](VertexId v) {
+                     relax_scalar_fanin(g, v, edge_delays, r);
+                   };
+                 });
+  return r;
+}
+
+ScalarArrivals longest_path(const TimingGraph& g,
+                            std::span<const double> edge_delays,
+                            std::span<const VertexId> sources) {
+  exec::SerialExecutor ex;
+  return longest_path(g, edge_delays, sources, ex);
+}
+
+ScalarArrivals required_times(const TimingGraph& g,
+                              std::span<const double> edge_delays,
+                              double required_at_outputs, exec::Executor& ex) {
+  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
+                "need one delay per edge slot");
+  const std::shared_ptr<const LevelStructure> ls = g.levels();
+  ScalarArrivals r;
+  reset_scalar(g, r);
+  seed_outputs(g, required_at_outputs, r);
+  const exec::Executor::Exclusive scope(ex);
+  for_each_level(*ls, ex, /*front_to_back=*/false,
+                 [&](VertexId v) { return 1 + g.vertex(v).fanout.size(); },
+                 [&](exec::Workspace&) {
+                   return [&](VertexId v) {
+                     relax_scalar_fanout(g, v, edge_delays, r);
+                   };
                  });
   return r;
 }
@@ -119,36 +136,8 @@ ScalarArrivals longest_path(const TimingGraph& g,
 ScalarArrivals required_times(const TimingGraph& g,
                               std::span<const double> edge_delays,
                               double required_at_outputs) {
-  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
-                "need one delay per edge slot");
-  ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_outputs(g, required_at_outputs, r);
-  std::vector<VertexId> order = g.topo_order();
-  std::reverse(order.begin(), order.end());
-  for (VertexId v : order) relax_scalar_fanout(g, v, edge_delays, r);
-  return r;
-}
-
-ScalarArrivals required_times(const TimingGraph& g,
-                              std::span<const double> edge_delays,
-                              double required_at_outputs, exec::Executor& ex,
-                              LevelParallel mode) {
-  if (!use_level_parallel(g, ex.concurrency(), mode))
-    return required_times(g, edge_delays, required_at_outputs);
-  const std::shared_ptr<const LevelStructure> ls = g.levels();
-  HSSTA_REQUIRE(edge_delays.size() == g.num_edge_slots(),
-                "need one delay per edge slot");
-  ScalarArrivals r;
-  reset_scalar(g, r);
-  seed_outputs(g, required_at_outputs, r);
-  const exec::Executor::Exclusive scope(ex);
-  for_each_level(*ls, ex, /*front_to_back=*/false,
-                 [&](VertexId v) { return 1 + g.vertex(v).fanout.size(); },
-                 [&](VertexId v, exec::Workspace&) {
-                   relax_scalar_fanout(g, v, edge_delays, r);
-                 });
-  return r;
+  exec::SerialExecutor ex;
+  return required_times(g, edge_delays, required_at_outputs, ex);
 }
 
 std::vector<double> corner_edge_delays(const TimingGraph& g, double k_sigma) {

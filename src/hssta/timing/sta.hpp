@@ -26,35 +26,33 @@ struct ScalarArrivals {
 };
 
 /// Longest path with explicit per-edge delays (indexed by EdgeId slot).
-/// Empty `sources` means all input ports.
+/// Empty `sources` means all input ports. Sweeps g.levels() through
+/// timing::for_each_level on `ex`; bit-identical at every thread count.
+[[nodiscard]] ScalarArrivals longest_path(
+    const TimingGraph& g, std::span<const double> edge_delays,
+    std::span<const VertexId> sources, exec::Executor& ex);
+
+/// Single-threaded call of the same sweep (a call-local SerialExecutor) —
+/// the inner loop of the Monte Carlo engines.
 [[nodiscard]] ScalarArrivals longest_path(
     const TimingGraph& g, std::span<const double> edge_delays,
     std::span<const VertexId> sources = {});
-
-/// Level-synchronous variant: fans each level's vertices out across `ex`
-/// (kAuto falls back to the serial sweep for narrow graphs or serial
-/// executors). Bit-identical to the serial sweep at every thread count.
-[[nodiscard]] ScalarArrivals longest_path(
-    const TimingGraph& g, std::span<const double> edge_delays,
-    std::span<const VertexId> sources, exec::Executor& ex,
-    LevelParallel mode = LevelParallel::kAuto);
 
 /// The deterministic required-time pass: required[v] = the latest time v
 /// may switch such that every output still meets `required_at_outputs`,
 /// i.e. the min over fanout of required[to] - delay (outputs themselves
 /// clamp at required_at_outputs). valid[v] is false for vertices that reach
 /// no output. Scalar slack is required - arrival; the vertices with slack 0
-/// under nominal delays form the critical path(s).
+/// under nominal delays form the critical path(s). Sweeps the levels back
+/// to front on `ex`, with longest_path's bit-identity contract.
+[[nodiscard]] ScalarArrivals required_times(
+    const TimingGraph& g, std::span<const double> edge_delays,
+    double required_at_outputs, exec::Executor& ex);
+
+/// Single-threaded call of the same sweep (a call-local SerialExecutor).
 [[nodiscard]] ScalarArrivals required_times(
     const TimingGraph& g, std::span<const double> edge_delays,
     double required_at_outputs);
-
-/// Level-synchronous variant of the required-time pass (levels back to
-/// front); same bit-identity contract as the forward overload.
-[[nodiscard]] ScalarArrivals required_times(
-    const TimingGraph& g, std::span<const double> edge_delays,
-    double required_at_outputs, exec::Executor& ex,
-    LevelParallel mode = LevelParallel::kAuto);
 
 /// Per-edge delays at nominal + k * sigma (k = 0: nominal STA; k = 3: the
 /// classical worst corner, deliberately correlation-blind).

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -319,20 +320,20 @@ TEST(FlowThreads, ConfigParsesThreadsKey) {
   EXPECT_THROW((void)flow::Config::from_string("threads = -2\n"), Error);
 }
 
-TEST(FlowThreads, ConfigParsesLevelParallelKey) {
-  using timing::LevelParallel;
-  EXPECT_EQ(flow::Config{}.level_parallel, LevelParallel::kAuto);
-  EXPECT_EQ(flow::Config::from_string("level_parallel = on\n").level_parallel,
-            LevelParallel::kOn);
-  EXPECT_EQ(
-      flow::Config::from_string("[exec]\nlevel_parallel = off\n")
-          .level_parallel,
-      LevelParallel::kOff);
-  EXPECT_EQ(
-      flow::Config::from_string("level_parallel = auto\n").level_parallel,
-      LevelParallel::kAuto);
-  EXPECT_THROW((void)flow::Config::from_string("level_parallel = maybe\n"),
-               Error);
+// The sweep schedule follows the executor alone: the retired schedule key
+// is rejected under both spellings with the ordinary unknown-key error.
+TEST(FlowThreads, ConfigRejectsRetiredScheduleKey) {
+  for (const char* text :
+       {"level_parallel = on\n", "[exec]\nlevel_parallel = off\n"}) {
+    try {
+      (void)flow::Config::from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Executor, RunMaybeParallelCoversAndRejectsNesting) {

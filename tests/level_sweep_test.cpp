@@ -1,11 +1,12 @@
-// Differential fuzz harness for the level-synchronous sweeps: across ~50
-// random DAG shapes (varying width / depth / fanin, seeded via stats::Rng)
-// the level-parallel schedules at 1 / 2 / 4 threads must be BIT-identical
-// to the legacy serial sweeps — for arrivals, requireds, slacks, scalar
-// longest-path / required-time passes, IO delay matrices, and
-// criticalities. The criticality oracle is the per-(i, j) scalar scatter
-// pass (pair_criticalities), which the batched gather pass replaces in
-// production; any rounding difference between the two is a bug, not noise.
+// Differential fuzz harness for the sweep driver: across ~50 random DAG
+// shapes (varying width / depth / fanin, seeded via stats::Rng) every sweep
+// at 1 / 2 / 4 threads — inline on narrow graphs, level-parallel on wide
+// ones — must be BIT-identical to its single-threaded call: arrivals,
+// requireds, slacks, scalar longest-path / required-time passes, IO delay
+// matrices, and criticalities. The criticality oracle is the per-(i, j)
+// scalar scatter pass (pair_criticalities), which the batched gather pass
+// replaces in production; any rounding difference between the two is a
+// bug, not noise.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +34,6 @@ using core::CriticalityResult;
 using core::DelayMatrix;
 using timing::CanonicalForm;
 using timing::EdgeId;
-using timing::LevelParallel;
 using timing::MaxDiagnostics;
 using timing::PropagationResult;
 using timing::TimingGraph;
@@ -96,9 +96,10 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
                  std::to_string(spec.depth) + " fanin=" +
                  std::to_string(spec.max_fanin) + " dim=" +
                  std::to_string(spec.dim));
-    if (g.levels()->max_width() >= timing::kMinLevelFanOut) ++wide_graphs;
+    // The graphs whose sweeps fan their levels out at > 1 thread.
+    if (g.levels()->mean_width() >= timing::kMinLevelFanOut) ++wide_graphs;
 
-    // Serial references (the legacy sweeps).
+    // Single-threaded references.
     const PropagationResult arrivals_ref = timing::propagate_arrivals(g);
     PropagationResult required_ref;
     timing::propagate_required_into(g, {}, required_ref);
@@ -116,50 +117,41 @@ TEST(LevelSweepDifferential, BitIdenticalAcrossSchedulesAndThreads) {
       const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
 
       PropagationResult arr;
-      timing::propagate_arrivals_into(g, {}, arr, *ex, LevelParallel::kOn);
+      timing::propagate_arrivals_into(g, {}, arr, *ex);
       expect_same_propagation(arrivals_ref, arr);
 
       PropagationResult req;
-      timing::propagate_required_into(g, {}, req, *ex, LevelParallel::kOn);
+      timing::propagate_required_into(g, {}, req, *ex);
       expect_same_propagation(required_ref, req);
 
-      const core::SlackResult slack =
-          core::compute_slack(g, deadline, *ex, LevelParallel::kOn);
+      const core::SlackResult slack = core::compute_slack(g, deadline, *ex);
       EXPECT_EQ(slack_ref.valid, slack.valid);
       for (size_t v = 0; v < slack.slack.size(); ++v)
         if (slack.valid[v]) EXPECT_EQ(slack_ref.slack[v], slack.slack[v]);
 
       const timing::ScalarArrivals lp =
-          timing::longest_path(g, delays, {}, *ex, LevelParallel::kOn);
+          timing::longest_path(g, delays, {}, *ex);
       EXPECT_EQ(lp_ref.valid, lp.valid);
       EXPECT_EQ(lp_ref.time, lp.time);
 
       const timing::ScalarArrivals rt =
-          timing::required_times(g, delays, deadline, *ex,
-                                 LevelParallel::kOn);
+          timing::required_times(g, delays, deadline, *ex);
       EXPECT_EQ(rt_ref.valid, rt.valid);
       EXPECT_EQ(rt_ref.time, rt.time);
 
-      expect_same_matrix(io_ref,
-                         core::all_pairs_io_delays(g, *ex, nullptr,
-                                                   LevelParallel::kOn));
+      expect_same_matrix(io_ref, core::all_pairs_io_delays(g, *ex));
 
-      // Criticality: both schedules (per-input fan-out and level-parallel)
-      // against the scatter oracle. prune_epsilon 0 matches the oracle's.
-      for (const LevelParallel mode :
-           {LevelParallel::kOff, LevelParallel::kOn}) {
-        CriticalityOptions opts;
-        opts.prune_epsilon = 0.0;
-        opts.level_parallel = mode;
-        const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
-        EXPECT_EQ(crit.max_criticality, cm_ref)
-            << "mode " << (mode == LevelParallel::kOn ? "on" : "off");
-        expect_same_matrix(io_ref, crit.io_delays);
-      }
+      // Criticality against the scatter oracle. prune_epsilon 0 matches
+      // the oracle's.
+      CriticalityOptions opts;
+      opts.prune_epsilon = 0.0;
+      const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
+      EXPECT_EQ(crit.max_criticality, cm_ref);
+      expect_same_matrix(io_ref, crit.io_delays);
     }
   }
-  // The fuzz corpus must actually exercise the parallel bucket path, not
-  // only the narrow-level inline fallback.
+  // The fuzz corpus must actually exercise the level-parallel schedule, not
+  // only the inline walk of narrow graphs.
   EXPECT_GE(wide_graphs, kGraphs / 4);
 }
 
@@ -207,10 +199,10 @@ TEST(LevelSweepDifferential, FlatBankMatchesLegacyPerVertexEngine) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
       PropagationResult pa;
-      timing::propagate_arrivals_into(g, {}, pa, *ex, LevelParallel::kOn);
+      timing::propagate_arrivals_into(g, {}, pa, *ex);
       expect_same_vs_legacy(arr_ref, pa);
       PropagationResult pr;
-      timing::propagate_required_into(g, {}, pr, *ex, LevelParallel::kOn);
+      timing::propagate_required_into(g, {}, pr, *ex);
       expect_same_vs_legacy(req_ref, pr);
     }
 
@@ -278,7 +270,7 @@ TEST(LevelSweepDifferential, LargeGeneratedDesignSmoke) {
   for (const size_t threads : {size_t{2}, size_t{4}}) {
     const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
     PropagationResult par;
-    timing::propagate_arrivals_into(g, {}, par, *ex, LevelParallel::kOn);
+    timing::propagate_arrivals_into(g, {}, par, *ex);
     expect_same_vs_legacy(ref, par);
   }
 }
@@ -292,19 +284,15 @@ TEST(LevelSweepDifferential, CriticalityDiagnosticsMatchAcrossSchedules) {
   spec.depth = 5;
   const TimingGraph g = testing::make_synthetic_graph(spec, rng);
 
-  CriticalityOptions off;
-  off.level_parallel = LevelParallel::kOff;
-  const CriticalityResult serial = core::compute_criticality(g, off);
+  // 3 inputs over 2 and 4 workers: per-worker diagnostics counters from
+  // uneven (and, at 4 threads, empty) input chunks must merge to the
+  // single-threaded totals.
+  const CriticalityResult serial = core::compute_criticality(g);
   for (const size_t threads : {size_t{2}, size_t{4}}) {
     const std::shared_ptr<exec::Executor> ex = exec::make_executor(threads);
-    for (const LevelParallel mode :
-         {LevelParallel::kOff, LevelParallel::kOn, LevelParallel::kAuto}) {
-      CriticalityOptions opts;
-      opts.level_parallel = mode;
-      const CriticalityResult crit = core::compute_criticality(g, *ex, opts);
-      EXPECT_EQ(serial.max_criticality, crit.max_criticality);
-      expect_same_diag(serial.diagnostics, crit.diagnostics);
-    }
+    const CriticalityResult crit = core::compute_criticality(g, *ex);
+    EXPECT_EQ(serial.max_criticality, crit.max_criticality);
+    expect_same_diag(serial.diagnostics, crit.diagnostics);
   }
 }
 

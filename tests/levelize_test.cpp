@@ -1,5 +1,5 @@
-// Property tests for TimingGraph::levels(): the cached levelization the
-// level-synchronous sweeps are built on. Pinned invariants: every live edge
+// Property tests for TimingGraph::levels(): the cached levelization every
+// sweep is built on. Pinned invariants: every live edge
 // goes to a strictly higher level, the buckets partition topo_order()
 // exactly, levels equal longest-path depth, cycles are rejected, and the
 // cache invalidates on mutation while handed-out snapshots stay intact.

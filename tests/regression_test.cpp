@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fixtures.hpp"
@@ -62,29 +63,31 @@ TEST(Regression, MultiplierStructureConstants) {
   EXPECT_EQ(nl.depth(), 148u);
 }
 
-// Golden cross-mode regression: every ISCAS fixture runs the full pipeline
-// through flow::Module under both sweep schedules — the per-input fan-out
-// (level_parallel = off) and the level-synchronous sweeps (on) — at two
-// worker threads, and the complete .hstm extraction output must match byte
-// for byte. Models serialize doubles as hex-floats, so this pins every
-// canonical coefficient of the extracted model, not just summary stats.
+// Golden cross-schedule regression: every ISCAS fixture runs the full
+// pipeline through flow::Module at one and at two worker threads, and the
+// complete .hstm extraction output must match byte for byte. At two threads
+// criticality fans its inputs out across the workers, and the module SSTA
+// sweep takes the level schedule on the wide circuits (c6288, c7552: mean
+// level width >= 16); the SSTA delay must match bit for bit too. Models
+// serialize doubles as hex-floats, so this pins every canonical coefficient
+// of the extracted model, not just summary stats.
 class IscasSweepModes : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(IscasSweepModes, HstmBytesIdenticalAcrossSweepModes) {
   const std::string& name = GetParam();
-  auto extract_with = [&](timing::LevelParallel mode) {
+  auto run_with = [&](size_t threads) {
     flow::Config cfg;
-    cfg.threads = 2;
-    cfg.level_parallel = mode;
+    cfg.threads = threads;
     const flow::Module m = flow::Module::from_iscas(name, cfg);
     std::ostringstream os;
     m.model().save(os);
-    return os.str();
+    return std::make_pair(os.str(), m.delay());
   };
-  const std::string fan_out = extract_with(timing::LevelParallel::kOff);
-  const std::string level = extract_with(timing::LevelParallel::kOn);
-  EXPECT_FALSE(fan_out.empty());
-  EXPECT_EQ(fan_out, level);
+  const auto [serial_bytes, serial_delay] = run_with(1);
+  const auto [parallel_bytes, parallel_delay] = run_with(2);
+  EXPECT_FALSE(serial_bytes.empty());
+  EXPECT_EQ(serial_bytes, parallel_bytes);
+  EXPECT_EQ(serial_delay, parallel_delay);
 }
 
 std::vector<std::string> iscas_names() {

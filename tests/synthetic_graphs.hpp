@@ -29,9 +29,9 @@ struct SyntheticGraphSpec {
   size_t dim = 4;
 };
 
-/// Draw a spec with varying width/depth/fanin from `rng`. Roughly half the
-/// shapes have levels wide enough (>= 16) to cross the level-parallel
-/// fan-out threshold, the rest exercise the narrow inline path.
+/// Draw a spec with varying width/depth/fanin from `rng`. Some shapes have
+/// a mean level width >= 16, so their sweeps fan levels out at > 1 thread
+/// (14 of the level-sweep suite's 50); the rest exercise the inline walk.
 inline SyntheticGraphSpec random_spec(stats::Rng& rng) {
   SyntheticGraphSpec s;
   s.num_inputs = 1 + rng.uniform_index(6);
