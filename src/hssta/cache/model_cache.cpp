@@ -1,8 +1,5 @@
 #include "hssta/cache/model_cache.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +7,7 @@
 
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
+#include "hssta/util/publish.hpp"
 #include "hssta/util/strings.hpp"
 
 namespace hssta::cache {
@@ -96,43 +94,13 @@ std::optional<model::TimingModel> ModelCache::load(uint64_t fingerprint) {
 }
 
 void ModelCache::store(uint64_t fingerprint, const model::TimingModel& m) {
-  // Unique temp name per (process, store call) so concurrent writers —
-  // threads here, or other processes sharing the directory — never collide;
-  // the final rename is atomic, last writer wins with identical bytes.
-  static std::atomic<uint64_t> counter{0};
-  const fs::path tmp =
-      fs::path(dir_) / (".tmp-" + util::Fnv1a::hex(fingerprint) + "-" +
-                        std::to_string(::getpid()) + "-" +
-                        std::to_string(counter.fetch_add(1)));
-  {
-    std::ofstream os(tmp);
-    if (!os)
-      throw Error("cannot open model cache temp file for writing: " +
-                  tmp.string());
+  // publish_file's per-call temp name keeps concurrent writers (threads
+  // here, or other processes sharing the directory) apart; the rename is
+  // atomic, last writer wins with identical bytes.
+  util::publish_file(entry_path(fingerprint), [&](std::ostream& os) {
     os << header_line(fingerprint) << '\n';
-    try {
-      m.save(os);  // flushes and throws on stream failure
-    } catch (...) {
-      os.close();
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      throw;
-    }
-    os.close();
-    if (!os) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      throw Error("write to model cache temp file failed: " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, entry_path(fingerprint), ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    throw Error("cannot publish model cache entry '" +
-                entry_path(fingerprint) + "': " + ec.message());
-  }
+    m.save(os);  // flushes and throws on stream failure
+  });
   account({.stores = 1});
 }
 

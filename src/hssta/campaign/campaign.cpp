@@ -1,6 +1,7 @@
 #include "hssta/campaign/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <csignal>
@@ -14,7 +15,6 @@
 #include <poll.h>
 #include <set>
 #include <sstream>
-#include <unistd.h>
 #include <utility>
 
 #include "hssta/campaign/process.hpp"
@@ -24,6 +24,7 @@
 #include "hssta/incr/scenario.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
+#include "hssta/util/publish.hpp"
 
 namespace hssta::campaign {
 
@@ -55,11 +56,11 @@ struct SigpipeIgnore {
   }
 };
 
-/// Everything both sides of the protocol derive from (spec_path, config):
-/// the analyzed base design, its fingerprint, and the expanded scenario
-/// list with resolved changes and content fingerprints. A pure function
-/// of its inputs — coordinator, every worker, and every resumed run
-/// compute the identical value (the ready handshake asserts it).
+/// Everything a campaign derives from (spec_path, config): the analyzed
+/// base design, its fingerprint, and the expanded scenario list with
+/// resolved changes and content fingerprints. A pure function of its
+/// inputs, so run, status, merge and every resumed run agree; workers
+/// never see the spec, only the base this value publishes.
 struct Prepared {
   CampaignSpec spec;
   flow::Design design;
@@ -77,8 +78,8 @@ Prepared prepare(const std::string& spec_path, const flow::Config& cfg) {
   flow::Design design = build_base_design(spec, cfg);
   Prepared p(std::move(spec), std::move(design));
 
-  // Lint the base design before the first (expensive) full analysis: every
-  // worker would hit the same defect as a deep exception mid-campaign, so
+  // Lint the base design before the first (expensive) full analysis: the
+  // defect would otherwise surface as a deep exception mid-campaign, so
   // reject it once, up front, with the named diagnostics.
   const check::Report lint = p.design.check();
   if (lint.worst() == check::Severity::kError)
@@ -120,28 +121,28 @@ Prepared prepare(const std::string& spec_path, const flow::Config& cfg) {
   return p;
 }
 
-void atomic_write(const fs::path& target, const std::string& text) {
-  const fs::path tmp =
-      target.parent_path() / (".tmp-" + target.filename().string() + "-" +
-                              std::to_string(::getpid()));
-  {
-    std::ofstream os(tmp);
-    if (!os) throw Error("cannot open for writing: " + tmp.string());
-    os << text;
-    os.flush();
-    if (!os) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      throw Error("write failed: " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    throw Error("cannot publish " + target.string() + ": " + ec.message());
-  }
+/// The five delay statistics of a shard (delay_json's members), from an
+/// analyzed form or from a delay_json block — bit-exact either way, since
+/// JsonWriter prints doubles with %.17g.
+using DelayStats = std::array<double, 5>;
+
+DelayStats delay_stats(const timing::CanonicalForm& d) {
+  return {d.nominal(), d.sigma(), d.quantile(0.90), d.quantile(0.99),
+          d.quantile(0.9987)};
+}
+
+DelayStats delay_stats(const util::JsonValue& d) {
+  return {d.at("mean").as_number(), d.at("sigma").as_number(),
+          d.at("q90").as_number(), d.at("q99").as_number(),
+          d.at("q9987").as_number()};
+}
+
+void set_delay(ShardData& s, const DelayStats& d) {
+  s.mean = d[0];
+  s.sigma = d[1];
+  s.q90 = d[2];
+  s.q99 = d[3];
+  s.q9987 = d[4];
 }
 
 ShardData make_shard(const CampaignScenario& sc, uint64_t fp, uint64_t base_fp,
@@ -154,13 +155,7 @@ ShardData make_shard(const CampaignScenario& sc, uint64_t fp, uint64_t base_fp,
   s.changes = r.changes;
   s.error = r.error;
   s.seconds = r.seconds;
-  if (r.ok()) {
-    s.mean = r.delay.nominal();
-    s.sigma = r.delay.sigma();
-    s.q90 = r.delay.quantile(0.90);
-    s.q99 = r.delay.quantile(0.99);
-    s.q9987 = r.delay.quantile(0.9987);
-  }
+  if (r.ok()) set_delay(s, delay_stats(r.delay));
   return s;
 }
 
@@ -189,41 +184,25 @@ void write_shard(const std::string& out_dir, const ShardData& s) {
   }
   w.key("seconds").value(s.seconds);
   w.end_object();
-  atomic_write(shard_path(out_dir, s.fingerprint), os.str() + "\n");
+  util::publish_file(shard_path(out_dir, s.fingerprint),
+                     [&](std::ostream& out) { out << os.str() << '\n'; });
 }
 
-/// The protocol/summary JSON helpers.
-
-std::string ready_line(const Prepared& p) {
+/// One scenario's serve request: a single-scenario sweep on `session`.
+std::string sweep_line(uint64_t session, const CampaignScenario& sc) {
   std::ostringstream os;
   util::JsonWriter w(os);
   w.begin_object();
-  w.key("ok").value(true);
-  w.key("ready").value(true);
-  w.key("campaign").value(p.spec.name);
-  w.key("base_fingerprint").value(util::Fnv1a::hex(p.base_fp));
-  w.key("scenarios").value(p.scenarios.size());
+  w.key("verb").value("sweep");
+  w.key("session").value(session);
+  w.key("scenarios").begin_array();
+  w.begin_object();
+  w.key("label").value(sc.label);
+  w.key("changes").begin_array();
+  for (const serve::ChangeSpec& c : sc.changes) serve::write_change_spec(w, c);
+  w.end_array();
   w.end_object();
-  return os.str();
-}
-
-std::string scenario_request(size_t index, uint64_t fp) {
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("verb").value("scenario");
-  w.key("index").value(index);
-  w.key("fingerprint").value(util::Fnv1a::hex(fp));
-  w.end_object();
-  return os.str();
-}
-
-std::string error_line(const std::string& message) {
-  std::ostringstream os;
-  util::JsonWriter w(os);
-  w.begin_object();
-  w.key("ok").value(false);
-  w.key("error").value(message);
+  w.end_array();
   w.end_object();
   return os.str();
 }
@@ -255,12 +234,7 @@ std::optional<ShardData> read_shard(const std::string& path,
       return std::nullopt;  // stale: different spec/base wrote this shard
     s.changes = doc.at("changes").as_string();
     if (doc.at("ok").as_bool()) {
-      const util::JsonValue& d = doc.at("delay");
-      s.mean = d.at("mean").as_number();
-      s.sigma = d.at("sigma").as_number();
-      s.q90 = d.at("q90").as_number();
-      s.q99 = d.at("q99").as_number();
-      s.q9987 = d.at("q9987").as_number();
+      set_delay(s, delay_stats(doc.at("delay")));
     } else {
       s.error = doc.at("error").as_string();
       HSSTA_REQUIRE(!s.error.empty(), "error shard with empty error");
@@ -284,76 +258,6 @@ std::string default_worker_cmd() {
       if (fs::exists(cand, ec)) return cand.string();
   }
   return "hssta_cli";
-}
-
-int worker_loop(const std::string& spec_path, const CampaignOptions& opts,
-                std::istream& in, std::ostream& out) {
-  // Workers analyze serially: the campaign's parallelism is the process
-  // fan-out, and serial analysis is bit-identical anyway.
-  CampaignOptions wopts = opts;
-  wopts.config.threads = 1;
-  std::optional<Prepared> prep;
-  try {
-    prep.emplace(prepare(spec_path, wopts.config));
-  } catch (const std::exception& e) {
-    // A broken handshake (bad spec, missing file) is a protocol error the
-    // coordinator surfaces verbatim, not a silent worker death.
-    out << error_line(e.what()) << '\n' << std::flush;
-    return 1;
-  }
-  const Prepared& p = *prep;
-  const incr::ScenarioRunner runner(p.design.incremental());
-
-  out << ready_line(p) << '\n' << std::flush;
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::string response;
-    try {
-      const util::JsonValue doc = util::JsonReader::parse(line);
-      const std::string& verb = doc.at("verb").as_string();
-      if (verb == "shutdown") {
-        std::ostringstream os;
-        util::JsonWriter w(os);
-        w.begin_object();
-        w.key("ok").value(true);
-        w.key("stopping").value(true);
-        w.end_object();
-        out << os.str() << '\n' << std::flush;
-        return 0;
-      }
-      HSSTA_REQUIRE(verb == "scenario", "unknown worker verb '" + verb + "'");
-      const size_t i = doc.at("index").as_count("index");
-      HSSTA_REQUIRE(i < p.scenarios.size(),
-                    "scenario index " + std::to_string(i) + " out of range");
-      const uint64_t fp = parse_fp(doc.at("fingerprint").as_string());
-      HSSTA_REQUIRE(fp == p.fps[i],
-                    "scenario " + std::to_string(i) +
-                        " fingerprint mismatch — coordinator and worker "
-                        "expanded different campaigns");
-
-      const std::vector<incr::Scenario> one{p.resolved[i]};
-      const std::vector<incr::ScenarioResult> rs = runner.run(one);
-      write_shard(wopts.out_dir, make_shard(p.scenarios[i], fp, p.base_fp,
-                                            rs[0]));
-
-      std::ostringstream os;
-      util::JsonWriter w(os);
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("index").value(i);
-      w.key("fingerprint").value(util::Fnv1a::hex(fp));
-      w.key("failed").value(!rs[0].ok());
-      w.key("seconds").value(rs[0].seconds);
-      w.end_object();
-      response = os.str();
-    } catch (const std::exception& e) {
-      response = error_line(e.what());
-    }
-    out << response << '\n' << std::flush;
-  }
-  return 0;
 }
 
 RunStats run_campaign(const std::string& spec_path,
@@ -405,26 +309,54 @@ RunStats run_campaign(const std::string& spec_path,
     return stats;
   }
 
+  // Publish the analyzed base once; every worker restores it instead of
+  // rebuilding it from the spec ("hsds 1" loads bit-identically).
+  const std::string base_file =
+      fs::absolute(fs::path(opts.out_dir) / "base.hsds").string();
+  util::publish_file(base_file, [&](std::ostream& os) {
+    p.design.incremental().save(os);
+  });
+  const DelayStats base_delay = delay_stats(p.design.incremental().delay());
+
   // Coordinator: single-threaded poll(2) loop over worker pipes. A dead
   // worker's stdin write raises EPIPE, not SIGPIPE.
   const SigpipeIgnore sigpipe_guard;
 
   std::vector<std::string> argv{
       opts.worker_cmd.empty() ? default_worker_cmd() : opts.worker_cmd,
-      "campaign-worker", "--spec", spec_path, "--out", opts.out_dir};
+      "campaign-worker"};
   argv.insert(argv.end(), opts.worker_args.begin(), opts.worker_args.end());
 
   struct WorkerState {
     std::unique_ptr<Subprocess> proc;
     enum class St { kStarting, kIdle, kBusy, kDead } st = St::kStarting;
+    uint64_t session = 0;     ///< the worker's session on the base
     size_t scenario = kNone;  ///< expansion index in flight
   };
   using St = WorkerState::St;
 
-  std::vector<WorkerState> workers(std::min(opts.workers, budget));
-  for (WorkerState& w : workers) w.proc = std::make_unique<Subprocess>(argv);
-
   size_t started = 0;  // dispatched-or-completed executions this run
+
+  auto on_death = [&](WorkerState& w) {
+    if (w.st == St::kDead) return;
+    w.st = St::kDead;
+    w.proc->close_stdin();
+    if (w.scenario == kNone) return;
+    // Shards are written by this process only, so an in-flight scenario
+    // of a dead worker has not completed: run it elsewhere.
+    queue.push_front(w.scenario);
+    w.scenario = kNone;
+    --started;
+    ++stats.redispatched;
+  };
+
+  const std::string restore = R"({"verb":"restore_session","file":)" +
+                              util::JsonWriter::escape(base_file) + "}";
+  std::vector<WorkerState> workers(std::min(opts.workers, budget));
+  for (WorkerState& w : workers) {
+    w.proc = std::make_unique<Subprocess>(argv);
+    if (!w.proc->write_line(restore)) on_death(w);
+  }
 
   auto dispatch = [&](WorkerState& w) {
     if (started >= budget || queue.empty()) return;
@@ -433,7 +365,7 @@ RunStats run_campaign(const std::string& spec_path,
     w.scenario = i;
     w.st = St::kBusy;
     ++started;
-    if (!w.proc->write_line(scenario_request(i, p.fps[i]))) {
+    if (!w.proc->write_line(sweep_line(w.session, p.scenarios[i]))) {
       // Died before we could hand it work; its EOF will follow.
       queue.push_front(i);
       --started;
@@ -442,82 +374,62 @@ RunStats run_campaign(const std::string& spec_path,
     }
   };
 
-  auto requeue_in_flight = [&](WorkerState& w) {
-    if (w.scenario == kNone) return;
-    const size_t i = w.scenario;
-    w.scenario = kNone;
-    // The worker may have persisted the shard and died before replying —
-    // the shard, not the reply, is the record of completion.
-    if (const std::optional<ShardData> s =
-            read_shard(shard_path(opts.out_dir, p.fps[i]), p.fps[i],
-                       p.base_fp)) {
-      completed(s->ok());
-    } else {
-      queue.push_front(i);
-      --started;
-      ++stats.redispatched;
-    }
-  };
-
-  auto on_death = [&](WorkerState& w) {
-    if (w.st == St::kDead) return;
-    w.st = St::kDead;
-    w.proc->close_stdin();
-    requeue_in_flight(w);
-  };
-
   auto handle_line = [&](WorkerState& w, const std::string& line) {
     util::JsonValue doc;
+    bool ok = false;
     try {
       doc = util::JsonReader::parse(line);
-      HSSTA_REQUIRE(doc.is_object(), "worker line must be a JSON object");
+      ok = doc.at("ok").as_bool();
     } catch (const std::exception&) {
       on_death(w);  // stray output = protocol violation; redispatch
       return;
     }
     if (w.st == St::kStarting) {
-      // The ready handshake. A disagreeing worker means the spec or a
-      // binary changed under the campaign — fatal, nothing was dispatched.
-      if (!doc.at("ok").as_bool())
+      // The restore handshake. A refusal or a different base delay means
+      // the worker cannot reproduce the coordinator's base (unreadable
+      // file, other binary) — fatal, nothing was dispatched.
+      if (!ok)
         throw Error("campaign worker failed to start: " +
                     doc.at("error").as_string());
-      const uint64_t fp = parse_fp(doc.at("base_fingerprint").as_string());
-      const size_t n = doc.at("scenarios").as_count("scenarios");
-      HSSTA_REQUIRE(
-          fp == p.base_fp && n == p.scenarios.size(),
-          "campaign worker handshake mismatch: worker expanded " +
-              std::to_string(n) + " scenarios over base " +
-              util::Fnv1a::hex(fp) + ", coordinator " +
-              std::to_string(p.scenarios.size()) + " over " +
-              util::Fnv1a::hex(p.base_fp) +
-              " — spec or binaries changed mid-campaign");
+      if (delay_stats(doc.at("delay")) != base_delay)
+        throw Error("campaign worker handshake mismatch: the restored base "
+                    "delay differs from the coordinator's — coordinator and "
+                    "worker binaries disagree");
+      w.session = doc.at("session").as_count("session");
       w.st = St::kIdle;
       dispatch(w);
       return;
     }
-    if (w.st != St::kBusy) {
-      on_death(w);  // unsolicited chatter from an idle worker
+    if (w.st != St::kBusy || !ok) {
+      // Unsolicited chatter, or a refused sweep: retire the worker and
+      // redispatch its scenario elsewhere.
+      on_death(w);
       return;
     }
-    bool ok = false;
-    size_t index = kNone;
-    bool failed = true;
-    try {
-      ok = doc.at("ok").as_bool();
-      if (ok) {
-        index = doc.at("index").as_count("index");
-        failed = doc.at("failed").as_bool();
-      }
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (!ok || index != w.scenario) {
-      on_death(w);  // internal worker error: redispatch elsewhere
-      return;
-    }
+    const size_t i = w.scenario;
+    const std::vector<util::JsonValue>& results = doc.at("scenarios").items();
+    if (results.size() != 1 ||
+        parse_fp(results[0].at("fingerprint").as_string()) != p.fps[i])
+      throw Error("campaign worker answered scenario " + std::to_string(i) +
+                  " (" + p.scenarios[i].label +
+                  ") with another fingerprint — it resolves the campaign's "
+                  "changes differently (other config or binary)");
+    const util::JsonValue& r = results[0];
+    ShardData s;
+    s.index = p.scenarios[i].index;
+    s.label = p.scenarios[i].label;
+    s.fingerprint = p.fps[i];
+    s.base_fingerprint = p.base_fp;
+    s.changes = r.at("changes").as_string();
+    if (r.at("ok").as_bool())
+      set_delay(s, delay_stats(r.at("delay")));
+    else
+      s.error = r.at("error").as_string();
+    s.seconds = r.at("seconds").as_number();
+    write_shard(opts.out_dir, s);
     w.scenario = kNone;
     w.st = St::kIdle;
-    completed(!failed);
+    completed(s.ok());
     dispatch(w);
   };
 
@@ -717,7 +629,8 @@ std::string merge_campaign(const std::string& spec_path,
   w.end_object();
 
   const std::string json = os.str() + "\n";
-  atomic_write(fs::path(opts.out_dir) / "campaign.json", json);
+  util::publish_file((fs::path(opts.out_dir) / "campaign.json").string(),
+                     [&](std::ostream& out) { out << json; });
   return json;
 }
 

@@ -1,31 +1,26 @@
 /// \file campaign.hpp
-/// campaign:: — distributed, fault-tolerant, resumable scenario campaigns
-/// over incr::ScenarioRunner (ROADMAP item 3).
+/// campaign:: — fault-tolerant, resumable scenario campaigns over
+/// incr::ScenarioRunner, run in-process or on serve-engine workers.
 ///
 /// A campaign is a spec (spec.hpp) expanded into a deterministic scenario
 /// list. Execution is sharded: every completed scenario lands in
-/// `<out>/shards/<fingerprint>.json`, written to a temp file and
-/// atomically renamed — the shard directory IS the work queue. A killed
+/// `<out>/shards/<fingerprint>.json`, published atomically
+/// (util::publish_file) — the shard directory IS the work queue. A killed
 /// campaign re-run rescans the directory and skips everything already
 /// done; a crashed worker's in-flight scenario is simply re-dispatched.
 /// Failed scenarios (invalid rewires, off-die moves, ...) write error
 /// shards: they are completed work, reported as failures, never retried.
 ///
 /// run_campaign() executes the pending set either in-process (workers=0:
-/// one ScenarioRunner batch — the serial reference) or by spawning
-/// `hssta_cli campaign-worker` subprocesses that speak a serve-style
-/// newline-JSON protocol over stdio:
-///
-///   worker ► {"ok":true,"ready":true,"campaign":..,
-///             "base_fingerprint":..,"scenarios":N}
-///   coord  ► {"verb":"scenario","index":i,"fingerprint":".."}
-///   worker ► {"ok":true,"index":i,"fingerprint":"..",
-///             "failed":false,"seconds":s}
-///   coord  ► {"verb":"shutdown"}          (or just closes stdin)
-///
-/// The ready handshake pins both sides to the same expansion: a worker
-/// whose base fingerprint or scenario count disagrees (stale spec, other
-/// binary) is rejected before any work is dispatched.
+/// one ScenarioRunner batch — the serial reference) or on
+/// `hssta_cli campaign-worker` subprocesses: one-thread serve::Engines on
+/// stdio that speak only the serve protocol. The coordinator analyzes the
+/// base once and publishes it as `<out>/base.hsds`; each worker answers a
+/// `restore_session` of that file (its delay block must equal the
+/// coordinator's, bit for bit), then one single-scenario `sweep` per
+/// dispatch (the result's fingerprint must equal the scenario's). Either
+/// mismatch — another binary or config — is fatal. The coordinator alone
+/// writes shards, from the results. docs/API.md shows the exchange.
 ///
 /// merge_campaign() folds the shards into one campaign report, keyed by
 /// the expansion order — byte-identical no matter how many workers ran,
@@ -36,7 +31,6 @@
 
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,13 +51,16 @@ struct CampaignOptions {
   /// The deterministic kill switch: a limited run completes normally with
   /// `remaining > 0`, so resume tests don't need timing-dependent kills.
   size_t limit = 0;
-  /// Worker executable (the hssta_cli binary). Empty = locate
+  /// Worker executable (the hssta_cli binary), run as
+  /// `<worker_cmd> campaign-worker <worker_args...>`. Empty = locate
   /// automatically next to the running executable.
   std::string worker_cmd;
-  /// Extra argv appended to every worker invocation (e.g. "--config F").
+  /// Extra argv appended to every worker invocation ("--config F",
+  /// "--cache-dir D"): workers resolve swap variants with their own
+  /// config, so it must match `config`.
   std::vector<std::string> worker_args;
-  /// Analysis configuration. Workers force threads=1 (parallelism is the
-  /// worker fan-out); the in-process path honors config.threads.
+  /// Analysis configuration. Workers analyze with one thread (parallelism
+  /// is the worker fan-out); the in-process path honors config.threads.
   flow::Config config;
 };
 
@@ -95,9 +92,9 @@ struct ShardData {
 };
 
 /// Execute the campaign's pending scenarios. Throws on a broken spec, an
-/// un-spawnable worker, a handshake mismatch, or when every worker died
-/// with work outstanding; individual scenario failures are recorded in
-/// their shards, not thrown.
+/// un-spawnable worker, a handshake or result-fingerprint mismatch, or
+/// when every worker died with work outstanding; individual scenario
+/// failures are recorded in their shards, not thrown.
 RunStats run_campaign(const std::string& spec_path,
                       const CampaignOptions& opts);
 
@@ -119,13 +116,6 @@ struct StatusReport {
 /// use campaign_status to see how far along a partial one is).
 std::string merge_campaign(const std::string& spec_path,
                            const CampaignOptions& opts);
-
-/// The worker side of the wire protocol, stream-based so tests can drive
-/// it in-process. Builds the base, answers the ready handshake, executes
-/// scenario requests (writing shards exactly like the in-process path),
-/// and returns 0 on shutdown/EOF. opts.config.threads is forced to 1.
-int worker_loop(const std::string& spec_path, const CampaignOptions& opts,
-                std::istream& in, std::ostream& out);
 
 /// Locate the hssta_cli binary for worker spawning: next to the running
 /// executable, then one directory up (bench binaries live in a

@@ -22,10 +22,13 @@ void close_fd(int& fd) {
 
 Subprocess::Subprocess(const std::vector<std::string>& argv) {
   HSSTA_REQUIRE(!argv.empty(), "subprocess needs a command");
+  // Close-on-exec: a later sibling worker must not inherit this child's
+  // stdin write end, or the child would never see EOF when the
+  // coordinator closes it. dup2 clears the flag on the child's 0 and 1.
   int to_child[2], from_child[2];
-  if (::pipe(to_child) != 0)
+  if (::pipe2(to_child, O_CLOEXEC) != 0)
     throw Error(std::string("pipe failed: ") + std::strerror(errno));
-  if (::pipe(from_child) != 0) {
+  if (::pipe2(from_child, O_CLOEXEC) != 0) {
     ::close(to_child[0]);
     ::close(to_child[1]);
     throw Error(std::string("pipe failed: ") + std::strerror(errno));

@@ -882,7 +882,9 @@ std::string report_json(const Report& report) {
   std::ostringstream os;
   util::JsonWriter w(os);
   write_report(w, report);
-  w.complete();
+  if (!w.complete())
+    throw Error("check report JSON is incomplete: unbalanced writer for '" +
+                report.subject + "'");
   return os.str();
 }
 

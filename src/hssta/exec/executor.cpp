@@ -156,7 +156,7 @@ struct ThreadPoolExecutor::Impl {
       if (errors[slot]) std::rethrow_exception(errors[slot]);
   }
 
-  void worker_loop(const Executor* self, size_t slot) {
+  void thread_main(const Executor* self, size_t slot) {
     uint64_t seen = 0;
     for (;;) {
       {
@@ -181,7 +181,7 @@ ThreadPoolExecutor::ThreadPoolExecutor(size_t threads)
   impl_->workers.reserve(threads_ - 1);
   for (size_t slot = 1; slot < threads_; ++slot)
     impl_->workers.emplace_back(
-        [this, slot] { impl_->worker_loop(this, slot); });
+        [this, slot] { impl_->thread_main(this, slot); });
 }
 
 ThreadPoolExecutor::~ThreadPoolExecutor() {

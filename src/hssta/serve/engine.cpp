@@ -2,6 +2,8 @@
 
 #include <exception>
 #include <future>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -258,7 +260,9 @@ std::string Engine::handle_load_design(const Request& req) {
     return os.str();
   }
 
-  (void)design.analyze();
+  // The warm base's full incremental build is the only analysis: its
+  // delay is bit-identical to a from-scratch analyze() by the ECO
+  // contract, so the response reports it directly.
   (void)design.analyze_incremental();
   const double seconds = timer.seconds();
 
@@ -270,7 +274,7 @@ std::string Engine::handle_load_design(const Request& req) {
   w.key("design").value(req.name);
   w.key("instances").value(d.num_instances());
   w.key("delay");
-  flow::delay_json(w, d.delay());
+  flow::delay_json(w, d.incremental().delay());
   w.key("seconds").value(seconds);
   w.end_object();
 
@@ -358,6 +362,7 @@ std::string Engine::handle_eco(const Request& req) {
     changes.reserve(req.changes.size());
     for (const ChangeSpec& spec : req.changes)
       changes.push_back(resolve_change(spec, opts_.config));
+    session->runner.reset();
     for (const incr::Change& c : changes)
       incr::apply_change(session->state, c);
   } catch (const std::exception& e) {
@@ -394,6 +399,7 @@ std::string Engine::handle_analyze(const Request& req) {
     changes.reserve(req.changes.size());
     for (const ChangeSpec& spec : req.changes)
       changes.push_back(resolve_change(spec, opts_.config));
+    session->runner.reset();
     for (const incr::Change& c : changes)
       incr::apply_change(session->state, c);
     session->state.analyze();
@@ -446,9 +452,14 @@ std::string Engine::handle_sweep(const Request& req) {
     // The runner needs an analyzed base with nothing pending: flush any
     // recorded-but-unanalyzed ecos first (same state an `analyze` would
     // leave). Scenarios then branch off the session's current state.
-    if (session->state.pending()) session->state.analyze();
-    const incr::ScenarioRunner runner(session->state);
-    results = runner.run(scenarios);
+    // The runner fingerprints the whole base when built, so it is kept
+    // until a handler changes the session's state.
+    if (session->state.pending()) {
+      session->runner.reset();
+      session->state.analyze();
+    }
+    if (!session->runner) session->runner.emplace(session->state);
+    results = session->runner->run(scenarios);
   } catch (const std::exception& e) {
     n_error_.fetch_add(1, kRelaxed);
     return error_response(req.id, kInvalidChange, e.what());
@@ -656,6 +667,18 @@ std::string Engine::handle_shutdown(const Request& req) {
   w.end_object();
   n_ok_.fetch_add(1, kRelaxed);
   return os.str();
+}
+
+void serve_stdio(Engine& engine, std::istream& in, std::ostream& out) {
+  std::string line;
+  while (!engine.stopping() && std::getline(in, line)) {
+    // Skip blanks and #-comments so annotated transcripts (see
+    // examples/serve_session.txt) pipe straight in.
+    if (line.empty() || line[0] == '#') continue;
+    out << engine.request(line) << '\n' << std::flush;
+  }
+  engine.request_stop();
+  engine.wait_until_stopped();
 }
 
 }  // namespace hssta::serve

@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,6 +59,7 @@
 #include "hssta/exec/queue.hpp"
 #include "hssta/flow/design.hpp"
 #include "hssta/incr/design_state.hpp"
+#include "hssta/incr/scenario.hpp"
 #include "hssta/serve/protocol.hpp"
 
 namespace hssta::serve {
@@ -132,6 +134,9 @@ class Engine {
   /// Stop as if a shutdown request had been processed (EOF on the
   /// controlling transport, signal handler). Idempotent.
   void request_stop();
+  /// True once a shutdown was accepted (or request_stop called) — set
+  /// before the shutdown's response is delivered, unlike stopped().
+  [[nodiscard]] bool stopping() const { return stop_requested_.load(); }
 
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
   [[nodiscard]] EngineStats stats_snapshot() const;
@@ -156,6 +161,9 @@ class Engine {
     uint64_t id = 0;
     std::string design;
     incr::DesignState state;
+    /// The sweep runner over `state`, built by the first sweep and kept
+    /// for the next; every handler that changes `state` resets it.
+    std::optional<incr::ScenarioRunner> runner;
     Clock::time_point last_used;
     uint64_t ecos = 0;
 
@@ -163,9 +171,9 @@ class Engine {
         : id(id_), design(std::move(design_)), state(std::move(state_)) {}
   };
 
-  /// One loaded design: the assembled flow::Design (keeps models/modules
-  /// alive and caches the from-scratch analysis) plus the analyzed warm
-  /// base sessions copy from. Immutable after load.
+  /// One loaded design: the assembled flow::Design, which keeps the
+  /// models/modules alive and owns the analyzed incremental warm base
+  /// (`design.incremental()`) sessions copy from. Immutable after load.
   struct Loaded {
     flow::Design design;
     explicit Loaded(flow::Design d) : design(std::move(d)) {}
@@ -222,5 +230,11 @@ class Engine {
   std::atomic<uint64_t> n_ecos_{0}, n_analyzes_{0}, n_sweeps_{0};
   Clock::time_point started_ = Clock::now();
 };
+
+/// The stdio transport (`hssta_serve --stdio`, `hssta_cli
+/// campaign-worker`): answer each request line of `in` with one response
+/// line on `out` until EOF or shutdown, skipping blank and #-comment
+/// lines; then stop the engine and wait for it to drain.
+void serve_stdio(Engine& engine, std::istream& in, std::ostream& out);
 
 }  // namespace hssta::serve

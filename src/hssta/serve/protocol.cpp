@@ -71,6 +71,37 @@ ChangeSpec parse_change_spec(const util::JsonValue& c) {
   return spec;
 }
 
+void write_change_spec(util::JsonWriter& w, const ChangeSpec& c) {
+  w.begin_object();
+  switch (c.op) {
+    case ChangeSpec::Op::kSwap:
+      w.key("op").value("swap");
+      w.key("inst").value(c.inst);
+      w.key("file").value(c.file);
+      break;
+    case ChangeSpec::Op::kMove:
+      w.key("op").value("move");
+      w.key("inst").value(c.inst);
+      w.key("x").value(c.x);
+      w.key("y").value(c.y);
+      break;
+    case ChangeSpec::Op::kRewire:
+      w.key("op").value("rewire");
+      w.key("conn").value(c.conn);
+      w.key("from_inst").value(c.from.instance);
+      w.key("from_port").value(c.from.port);
+      w.key("to_inst").value(c.to.instance);
+      w.key("to_port").value(c.to.port);
+      break;
+    case ChangeSpec::Op::kSigma:
+      w.key("op").value("sigma");
+      w.key("param").value(c.param);
+      w.key("scale").value(c.scale);
+      break;
+  }
+  w.end_object();
+}
+
 bool is_session_verb(Verb v) {
   return v == Verb::kEco || v == Verb::kAnalyze || v == Verb::kSweep ||
          v == Verb::kSaveSession || v == Verb::kCloseSession;

@@ -88,6 +88,8 @@ struct ChangeSpec {
   hier::PortRef to;     ///< rewire
   size_t param = 0;     ///< sigma
   double scale = 1.0;   ///< sigma
+
+  bool operator==(const ChangeSpec&) const = default;
 };
 
 struct ScenarioSpec {
@@ -123,6 +125,10 @@ struct Request {
 /// hssta::Error on malformed input. Exposed for the campaign spec parser,
 /// whose expanded scenarios carry wire-schema changes.
 [[nodiscard]] ChangeSpec parse_change_spec(const util::JsonValue& c);
+
+/// Write one CHANGE object, only the members its op uses — the inverse
+/// of parse_change_spec (doubles print with %.17g, so they round-trip).
+void write_change_spec(util::JsonWriter& w, const ChangeSpec& c);
 
 /// Resolve a wire change into an engine change, loading a swap's model
 /// file through the module pipeline (and the persistent model cache when

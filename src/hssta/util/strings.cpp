@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 
 #include "hssta/util/error.hpp"
 
@@ -83,6 +84,38 @@ double parse_number(const std::string& what, const std::string& value) {
   if (!end || end == value.c_str() || *end != '\0' || errno == ERANGE)
     throw Error("malformed number for " + what + ": " + value);
   return v;
+}
+
+std::string hexf(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string TokenReader::token(const char* what) {
+  std::string tok;
+  if (!(is_ >> tok)) throw Error(kind_ + " truncated at " + what);
+  return tok;
+}
+
+void TokenReader::keyword(const std::string& kw) {
+  const std::string tok = token(kw.c_str());
+  HSSTA_REQUIRE(tok == kw,
+                kind_ + ": expected '" + kw + "', got '" + tok + "'");
+}
+
+double TokenReader::number(const char* what) {
+  const std::string tok = token(what);
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  HSSTA_REQUIRE(end && *end == '\0',
+                "malformed number in " + kind_ + ": " + tok);
+  return v;
+}
+
+size_t TokenReader::count(const char* what) {
+  return static_cast<size_t>(
+      parse_count(kind_ + " field '" + what + "'", token(what)));
 }
 
 }  // namespace hssta

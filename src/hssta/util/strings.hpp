@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hssta {
@@ -41,5 +43,31 @@ namespace hssta {
 /// and overflow. Throws hssta::Error naming `what` on any violation.
 [[nodiscard]] double parse_number(const std::string& what,
                                   const std::string& value);
+
+/// Hex-float spelling of a double ("%a"): the bit-exact round-trip form
+/// the .hstm and .hsds text formats write every double in.
+[[nodiscard]] std::string hexf(double v);
+
+/// Strict reader over the whitespace-separated tokens of the .hstm and
+/// .hsds text formats. `kind` ("model file", "design state file") names
+/// the format in every error, so both formats fail with the same words.
+class TokenReader {
+ public:
+  TokenReader(std::istream& is, std::string kind)
+      : is_(is), kind_(std::move(kind)) {}
+
+  /// The next token; "<kind> truncated at <what>" at end of input.
+  [[nodiscard]] std::string token(const char* what);
+  /// Consume the next token, which must equal `kw`.
+  void keyword(const std::string& kw);
+  /// The next token as a double, hex floats included.
+  [[nodiscard]] double number(const char* what);
+  /// The next token as a strict count (parse_count rules).
+  [[nodiscard]] size_t count(const char* what);
+
+ private:
+  std::istream& is_;
+  std::string kind_;
+};
 
 }  // namespace hssta

@@ -1,6 +1,6 @@
 // Campaign subsystem tests: DesignState serialization (round-trip
 // bit-identity, strict named errors), content fingerprints, campaign spec
-// parsing + deterministic expansion, the worker wire protocol, and
+// parsing + deterministic expansion, the serve-protocol worker, and
 // resumable sharded execution — in-process and across real worker
 // subprocesses — with merged reports byte-identical to the serial
 // reference run.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "hssta/flow/report.hpp"
 #include "hssta/incr/design_state.hpp"
 #include "hssta/incr/scenario.hpp"
+#include "hssta/serve/engine.hpp"
 #include "hssta/util/error.hpp"
 #include "hssta/util/hash.hpp"
 #include "hssta/util/json.hpp"
@@ -356,58 +358,81 @@ TEST_F(SpecTest, OversizedGridsFailWithTheNamedErrorBeforeExpanding) {
 
 using WorkerTest = CampaignTest;
 
-TEST_F(WorkerTest, SpeaksTheProtocolAndWritesShards) {
+TEST_F(WorkerTest, AnswersRestoreAndSweepOnStdio) {
+  // A worker is a one-thread serve engine on stdio. Drive it the way the
+  // coordinator does: restore the published base, then sweep scenario 0
+  // of the expansion, encoded with write_change_spec.
   const std::string spec = write_spec();
-  const campaign::CampaignOptions o = opts("wout");
-
-  // The worker and this test must agree on the expansion: re-derive the
-  // fingerprint of scenario 0 (sigma 0.9 + swap a.bench) independently.
   const flow::Design base = make_chain("grid");
   (void)base.incremental().analyze();
+  base.incremental().save_file(file("base.hsds"));
   const uint64_t base_fp = incr::state_fingerprint(base.incremental());
+
+  // Re-derive scenario 0's fingerprint independently: changes apply per
+  // axis in declaration order, so its list is [sigma0x0.9, swap
+  // u0=a.bench].
   const std::vector<incr::Change> ch0{
       incr::SigmaScale{0, 0.9},
       incr::ReplaceModule{0, flow::load_variant_model(file("a.bench"), {})}};
-  // Axis order in the spec: sigma first, swap second — but changes are
-  // applied per axis in declaration order, so scenario 0's list is
-  // [sigma0x0.9, swap u0=a.bench].
-  const std::vector<incr::Change> expected_order{ch0[0], ch0[1]};
-  const uint64_t fp0 = incr::scenario_fingerprint(base_fp, expected_order);
+  const uint64_t fp0 = incr::scenario_fingerprint(base_fp, ch0);
+
+  const campaign::CampaignScenario sc0 =
+      campaign::expand(campaign::parse_campaign_file(spec)).at(0);
+  std::ostringstream sweep;
+  util::JsonWriter w(sweep);
+  w.begin_object();
+  w.key("verb").value("sweep");
+  w.key("session").value(1);
+  w.key("scenarios").begin_array();
+  w.begin_object();
+  w.key("label").value(sc0.label);
+  w.key("changes").begin_array();
+  for (const serve::ChangeSpec& c : sc0.changes) serve::write_change_spec(w, c);
+  w.end_array();
+  w.end_object();
+  w.end_array();
+  w.end_object();
 
   std::istringstream in(
       "# comment lines are skipped\n"
       "\n"
-      R"({"verb":"scenario","index":0,"fingerprint":")" +
-      util::Fnv1a::hex(fp0) + R"("})" + "\n" +
-      R"({"verb":"scenario","index":1,"fingerprint":"0000000000000000"})" +
+      R"({"verb":"restore_session","file":")" + file("base.hsds") +
+      R"("})" + "\n" + sweep.str() + "\n" +
+      R"({"verb":"scenario","index":0,"fingerprint":"0000000000000000"})" +
       "\n" + R"({"verb":"shutdown"})" + "\n");
   std::ostringstream out;
-  EXPECT_EQ(campaign::worker_loop(spec, o, in, out), 0);
+  serve::EngineOptions eo;
+  eo.threads = 1;
+  eo.idle_timeout_seconds = 0.0;
+  serve::Engine engine(eo);
+  serve::serve_stdio(engine, in, out);
 
   std::vector<std::string> lines;
   std::istringstream split(out.str());
   for (std::string l; std::getline(split, l);) lines.push_back(l);
   ASSERT_EQ(lines.size(), 4u) << out.str();
 
-  const util::JsonValue ready = util::JsonReader::parse(lines[0]);
-  EXPECT_TRUE(ready.at("ready").as_bool());
-  EXPECT_EQ(ready.at("campaign").as_string(), "grid");
-  EXPECT_EQ(ready.at("base_fingerprint").as_string(),
-            util::Fnv1a::hex(base_fp));
-  EXPECT_EQ(ready.at("scenarios").as_count("scenarios"), 6u);
+  const util::JsonValue restored = util::JsonReader::parse(lines[0]);
+  ASSERT_TRUE(restored.at("ok").as_bool()) << lines[0];
+  EXPECT_EQ(restored.at("session").as_count("session"), 1u);
+  EXPECT_EQ(restored.at("delay").at("mean").as_number(),
+            base.incremental().delay().nominal());
+  EXPECT_EQ(restored.at("delay").at("sigma").as_number(),
+            base.incremental().delay().sigma());
 
-  const util::JsonValue done = util::JsonReader::parse(lines[1]);
-  EXPECT_TRUE(done.at("ok").as_bool()) << lines[1];
-  EXPECT_EQ(done.at("index").as_count("index"), 0u);
-  EXPECT_FALSE(done.at("failed").as_bool());
-  EXPECT_TRUE(campaign::read_shard(campaign::shard_path(o.out_dir, fp0), fp0,
-                                   base_fp)
-                  .has_value());
+  const util::JsonValue swept = util::JsonReader::parse(lines[1]);
+  ASSERT_TRUE(swept.at("ok").as_bool()) << lines[1];
+  ASSERT_EQ(swept.at("scenarios").items().size(), 1u);
+  const util::JsonValue& r = swept.at("scenarios").items()[0];
+  EXPECT_TRUE(r.at("ok").as_bool());
+  EXPECT_EQ(r.at("label").as_string(), sc0.label);
+  EXPECT_EQ(r.at("fingerprint").as_string(), util::Fnv1a::hex(fp0));
 
-  // A mismatched fingerprint is refused, not silently executed.
+  // The private campaign verbs are gone: a worker answers serve verbs only.
   const util::JsonValue bad = util::JsonReader::parse(lines[2]);
   EXPECT_FALSE(bad.at("ok").as_bool());
-  EXPECT_NE(bad.at("error").as_string().find("fingerprint"),
+  EXPECT_EQ(bad.at("code").as_string(), "bad_request");
+  EXPECT_NE(bad.at("error").as_string().find("unknown verb 'scenario'"),
             std::string::npos);
 
   const util::JsonValue bye = util::JsonReader::parse(lines[3]);
@@ -603,28 +628,22 @@ TEST_F(SubprocessTest, MidCampaignWorkerDeathRedispatchesToIdleSurvivors) {
   const std::string spec = write_spec();
 
   // Exactly one of the two workers (whoever wins the lock-dir mkdir)
-  // handshakes, accepts a scenario, then dies WITHOUT publishing its
-  // shard — two seconds later, long after the survivor has drained the
-  // queue and gone idle. The coordinator must hand the orphaned scenario
-  // to the idle survivor instead of blocking in poll on workers that
-  // will never write again (regression: tail-of-campaign worker death
-  // used to deadlock the run).
-  // The flaky branch runs a real worker with a private out dir and a
-  // /dev/null stdin (so the child handshakes, writes no shard, and exits
-  // on its own), forwards just the handshake line, lingers, then dies.
+  // handshakes, accepts a scenario, then dies WITHOUT answering it — two
+  // seconds later, long after the survivor has drained the queue and gone
+  // idle. The coordinator must hand the orphaned scenario to the idle
+  // survivor instead of blocking in poll on workers that will never write
+  // again (regression: tail-of-campaign worker death used to deadlock the
+  // run). The flaky branch answers the restore handshake through a real
+  // worker fed just that one line, reads its sweep, lingers, then dies.
   const std::string cli = campaign::default_worker_cmd();
   write("flaky_worker.sh",
         "#!/bin/sh\n"
-        "# argv: campaign-worker --spec <spec> --out <out> ...\n"
+        "# argv: campaign-worker [--config F] [--cache-dir D]\n"
         "if mkdir \"" + file("flaky.lock") + "\" 2>/dev/null; then\n"
-        "  d=$(mktemp -d)\n"
-        "  \"" + cli + "\" campaign-worker --spec \"$3\" --out \"$d\" "
-        "> \"$d/log\" &\n"
-        "  while ! grep -q '\"ready\"' \"$d/log\" 2>/dev/null; do "
-        "sleep 0.05; done\n"
-        "  head -n 1 \"$d/log\"\n"
+        "  IFS= read -r restore\n"
+        "  printf '%s\\n' \"$restore\" | \"" + cli + "\" \"$@\"\n"
+        "  IFS= read -r sweep\n"
         "  sleep 2\n"
-        "  rm -rf \"$d\"\n"
         "  exit 1\n"
         "fi\n"
         "sleep 0.5\n"  // let the flaky worker handshake + take a scenario first
@@ -641,6 +660,45 @@ TEST_F(SubprocessTest, MidCampaignWorkerDeathRedispatchesToIdleSurvivors) {
   (void)campaign::run_campaign(spec, opts("ref", 0));
   EXPECT_EQ(campaign::merge_campaign(spec, opts("w")),
             campaign::merge_campaign(spec, opts("ref")));
+}
+
+TEST_F(SubprocessTest, WorkerResultFingerprintMismatchIsFatal) {
+  if (!fs::exists(campaign::default_worker_cmd()))
+    GTEST_SKIP() << "hssta_cli not found next to the test binary";
+  const std::string spec = write_spec();
+
+  // The worker restores the coordinator's base (identical delay, so the
+  // handshake passes) but extracts the swapped .bench variants with
+  // another load sigma: every result fingerprint differs. (An extraction
+  // delta would not do here: no edge of these 3-gate modules is ever
+  // pruned.)
+  write("other.cfg", "[parameters]\nload_sigma = 0.2\n");
+  const std::string cli = campaign::default_worker_cmd();
+  write("other_config_worker.sh",
+        "#!/bin/sh\n"
+        "exec \"" + cli + "\" \"$@\" --config \"" + file("other.cfg") + "\"\n");
+  fs::permissions(dir_ / "other_config_worker.sh", fs::perms::owner_all);
+  campaign::CampaignOptions o = opts("w", 2);
+  o.worker_cmd = file("other_config_worker.sh");
+  try {
+    (void)campaign::run_campaign(spec, o);
+    FAIL() << "a worker with other results was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(campaign::campaign_status(spec, opts("w")).done, 0u);
+}
+
+TEST_F(SubprocessTest, WorkerTakesNoSpecOrOutFlags) {
+  const std::string cli = campaign::default_worker_cmd();
+  if (!fs::exists(cli))
+    GTEST_SKIP() << "hssta_cli not found next to the test binary";
+  for (const char* flag : {"--spec", "--out"}) {
+    const std::string cmd = "\"" + cli + "\" campaign-worker " + flag +
+                            " x </dev/null >/dev/null 2>&1";
+    EXPECT_NE(std::system(cmd.c_str()), 0) << flag;
+  }
 }
 
 TEST_F(SubprocessTest, DeadWorkersAreAFatalCampaignError) {

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,11 +24,13 @@
 #include "hssta/exec/queue.hpp"
 #include "hssta/flow/chain.hpp"
 #include "hssta/flow/design.hpp"
+#include "hssta/incr/scenario.hpp"
 #include "hssta/serve/client.hpp"
 #include "hssta/serve/engine.hpp"
 #include "hssta/serve/protocol.hpp"
 #include "hssta/serve/socket.hpp"
 #include "hssta/util/error.hpp"
+#include "hssta/util/hash.hpp"
 #include "hssta/util/json.hpp"
 #include "hssta/util/version.hpp"
 
@@ -113,6 +116,33 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                Error);  // empty sweep
   EXPECT_THROW(serve::parse_request(R"({"verb":"analyze","session":-4})"),
                Error);  // negative id
+}
+
+TEST(ServeProtocol, WriteChangeSpecRoundTripsEveryOp) {
+  using Op = serve::ChangeSpec::Op;
+  serve::ChangeSpec swap, move, rewire, sigma;
+  swap.op = Op::kSwap;
+  swap.inst = 3;
+  swap.file = "dir with space/v\"1\".hstm";
+  move.op = Op::kMove;
+  move.inst = 1;
+  move.x = 0.1 + 0.2;  // not exactly representable in short decimal
+  move.y = -7.25;
+  rewire.op = Op::kRewire;
+  rewire.conn = 4;
+  rewire.from = hier::PortRef{0, 2};
+  rewire.to = hier::PortRef{5, 1};
+  sigma.op = Op::kSigma;
+  sigma.param = 2;
+  sigma.scale = 1.0 / 3.0;
+  for (const serve::ChangeSpec& c : {swap, move, rewire, sigma}) {
+    std::ostringstream os;
+    util::JsonWriter w(os);
+    serve::write_change_spec(w, c);
+    ASSERT_TRUE(w.complete());
+    EXPECT_EQ(serve::parse_change_spec(JsonReader::parse(os.str())), c)
+        << os.str();
+  }
 }
 
 TEST(ServeProtocol, ErrorResponseCarriesIdCodeAndMessage) {
@@ -301,6 +331,46 @@ TEST_F(ServeTest, SweepReportsPerScenarioDelaysAndErrorProvenance) {
   expect_delay_eq(scenarios[0].at("delay"), st.analyze());
   st.set_parameter_sigma(0, 2.0);
   expect_delay_eq(scenarios[2].at("delay"), st.analyze());
+}
+
+TEST_F(ServeTest, SweepAfterAStateChangeBranchesOffTheNewState) {
+  // The session keeps its sweep runner between sweeps; a handler that
+  // changes the state must drop it, or the next sweep would stamp its
+  // results with the old base's fingerprint.
+  serve::Engine engine;
+  ok(engine, load_line());
+  ok(engine, R"({"verb":"open_session","design":"d"})");
+  const std::string sweep =
+      R"({"verb":"sweep","session":1,"scenarios":[)"
+      R"({"label":"s","changes":[{"op":"sigma","param":0,"scale":0.5}]}]})";
+  const auto swept = [&] {
+    return ok(engine, sweep).at("scenarios").items().at(0);
+  };
+  const std::string fp_base = swept().at("fingerprint").as_string();
+  EXPECT_EQ(swept().at("fingerprint").as_string(), fp_base);
+
+  ok(engine, R"({"verb":"analyze","session":1,"changes":[)"
+             R"({"op":"swap","inst":0,"file":")" +
+                 file("c.bench") + R"("}]})");
+  const JsonValue after_swap = swept();
+
+  flow::Design ref = flow::build_chain_design(
+      "d", {file("a.bench"), file("b.bench")}, flow::Config{});
+  incr::DesignState& st = ref.incremental();
+  st.replace_module(0, flow::load_variant_model(file("c.bench"), {}));
+  (void)st.analyze();
+  const std::vector<incr::Change> scenario{incr::SigmaScale{0, 0.5}};
+  EXPECT_EQ(after_swap.at("fingerprint").as_string(),
+            util::Fnv1a::hex(incr::scenario_fingerprint(
+                incr::state_fingerprint(st), scenario)));
+  st.set_parameter_sigma(0, 0.5);
+  expect_delay_eq(after_swap.at("delay"), st.analyze());
+
+  // Swapping the original module back restores the original identity.
+  ok(engine, R"({"verb":"eco","session":1,"changes":[)"
+             R"({"op":"swap","inst":0,"file":")" +
+                 file("a.bench") + R"("}]})");
+  EXPECT_EQ(swept().at("fingerprint").as_string(), fp_base);
 }
 
 TEST_F(ServeTest, StatsReportsVersionCountersAndKnobs) {

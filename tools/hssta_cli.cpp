@@ -60,6 +60,7 @@
 #include "hssta/netlist/bench_io.hpp"
 #include "hssta/netlist/iscas.hpp"
 #include "hssta/serve/client.hpp"
+#include "hssta/serve/engine.hpp"
 #include "hssta/timing/sta.hpp"
 #include "hssta/util/argparse.hpp"
 #include "hssta/util/error.hpp"
@@ -80,11 +81,12 @@ struct Common {
   std::string cache_dir;
   uint64_t threads = kThreadsUnset;
 
-  void register_flags(util::ArgParser& p) {
+  void register_flags(util::ArgParser& p, bool with_threads = true) {
     p.option("--config", &config_file, "file",
              "flow::Config key=value file");
-    p.option("--threads", &threads, "N",
-             "worker threads, 0 = all hardware threads (default: config)");
+    if (with_threads)
+      p.option("--threads", &threads, "N",
+               "worker threads, 0 = all hardware threads (default: config)");
     p.option("--cache-dir", &cache_dir, "dir",
              "persistent .hstm model cache directory "
              "(default: config / HSSTA_CACHE_DIR)");
@@ -589,7 +591,7 @@ int cmd_campaign(int argc, const char* const* argv) {
   opts.limit = limit;
   opts.worker_cmd = worker_cmd;
   opts.config = common.load();
-  // Workers re-derive the same expansion, so they need the same config.
+  // Workers resolve swap variants themselves, so they need the same config.
   if (!common.config_file.empty()) {
     opts.worker_args.push_back("--config");
     opts.worker_args.push_back(common.config_file);
@@ -630,24 +632,23 @@ int cmd_campaign(int argc, const char* const* argv) {
   return 0;
 }
 
-/// campaign-worker: the subprocess side of `campaign run` (newline-JSON
-/// over stdio; see campaign/campaign.hpp for the protocol).
+/// campaign-worker: the subprocess side of `campaign run` — a one-thread
+/// serve::Engine on stdio, without idle eviction (the coordinator holds
+/// its session for the whole run). See campaign/campaign.hpp.
 int cmd_campaign_worker(int argc, const char* const* argv) {
   Common common;
-  std::string spec, out_dir;
   util::ArgParser p("hssta_cli campaign-worker",
-                    "campaign worker subprocess (spawned by `campaign run`)");
-  p.option("--spec", &spec, "file", "campaign spec file");
-  p.option("--out", &out_dir, "dir", "campaign output directory");
-  common.register_flags(p);
+                    "serve-protocol worker on stdio (spawned by campaign run)");
+  common.register_flags(p, /*with_threads=*/false);
   if (!p.parse(argc, argv, 2)) return 0;
-  if (spec.empty() || out_dir.empty())
-    throw Error("campaign-worker: --spec and --out are required");
 
-  campaign::CampaignOptions opts;
-  opts.out_dir = out_dir;
-  opts.config = common.load();
-  return campaign::worker_loop(spec, opts, std::cin, std::cout);
+  serve::EngineOptions eo;
+  eo.threads = 1;
+  eo.idle_timeout_seconds = 0.0;
+  eo.config = common.load();
+  serve::Engine engine(std::move(eo));
+  serve::serve_stdio(engine, std::cin, std::cout);
+  return 0;
 }
 
 /// serve-client: drive a running hssta_serve daemon over its Unix-domain

@@ -85,16 +85,7 @@ int run(int argc, const char* const* argv) {
   serve::Engine engine(std::move(opts));
 
   if (stdio) {
-    std::string line;
-    while (!engine.stopped() && std::getline(std::cin, line)) {
-      // Skip blanks and #-comments so annotated transcripts (see
-      // examples/serve_session.txt) pipe straight in.
-      if (line.empty() || line[0] == '#') continue;
-      std::printf("%s\n", engine.request(line).c_str());
-      std::fflush(stdout);
-    }
-    engine.request_stop();
-    engine.wait_until_stopped();
+    serve::serve_stdio(engine, std::cin, std::cout);
     return 0;
   }
 
